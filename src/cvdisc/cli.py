@@ -36,7 +36,6 @@ EXIT_CERTIFICATION = 5
 
 CSV_HEADER = ("alpha_sq,p_s,p_c_med,p_c_med_beta,p_c_ir,fidelity,infidelity,"
               "error_bound,i_ud,i_ir,gain,failure_dim")
-DEFAULT_COLUMNS = tuple(CSV_HEADER.split(","))
 
 _REPORT_FIELDS = ("p_s", "p_c_med", "p_c_med_beta", "p_c_ir", "fidelity",
                   "infidelity", "error_bound", "confidence_success",
@@ -51,7 +50,6 @@ class SweepRequest:
     alpha_sq_min: float
     alpha_sq_max: float
     steps: int
-    columns: tuple[str, ...] = DEFAULT_COLUMNS
 
     def __post_init__(self) -> None:
         if self.alpha_sq_min < 0.0:
@@ -62,9 +60,6 @@ class SweepRequest:
             raise DomainError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise DomainError(f"steps must be >= 2, got {self.steps}")
-        unknown = set(self.columns) - set(DEFAULT_COLUMNS)
-        if unknown:
-            raise DomainError(f"unknown columns: {sorted(unknown)}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.alpha_sq_min, self.alpha_sq_max, self.steps)
@@ -90,11 +85,16 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _evaluate(n: int, alpha_sq: float, deg_tol: float):
+    """Coefficient profile, ir_report and info_report of one point, with the
+    coefficients and the failure profile computed once."""
+    profile = coefficients(EnsembleSpec(n, alpha_sq), degeneracy_tol=deg_tol)
+    fail = discrim._failure_or_none(profile)
+    return profile, discrim._ir_report(profile, fail), infotheory._info_report(profile, fail)
+
+
 def _point_values(n: int, alpha_sq: float, deg_tol: float) -> dict[str, float | int]:
-    spec = EnsembleSpec(n, alpha_sq)
-    profile = coefficients(spec, degeneracy_tol=deg_tol)
-    rep = discrim.ir_report(spec, degeneracy_tol=deg_tol)
-    info = infotheory.info_report(spec, degeneracy_tol=deg_tol)
+    profile, rep, info = _evaluate(n, alpha_sq, deg_tol)
     return {
         "alpha_sq": alpha_sq,
         "p_s": rep.p_s,
@@ -112,10 +112,7 @@ def _point_values(n: int, alpha_sq: float, deg_tol: float) -> dict[str, float | 
 
 
 def cmd_report(n: int, alpha_sq: float, deg_tol: float) -> int:
-    spec = EnsembleSpec(n, alpha_sq)
-    rep = discrim.ir_report(spec, degeneracy_tol=deg_tol)
-    info = infotheory.info_report(spec, degeneracy_tol=deg_tol)
-    profile = coefficients(spec, degeneracy_tol=deg_tol)
+    profile, rep, info = _evaluate(n, alpha_sq, deg_tol)
     lines = [
         f"n_states            = {n}",
         f"alpha_sq            = {_g(alpha_sq)}",
@@ -140,11 +137,11 @@ def cmd_report(n: int, alpha_sq: float, deg_tol: float) -> int:
 
 
 def cmd_sweep(request: SweepRequest, out_path: str, deg_tol: float) -> int:
-    rows = [",".join(request.columns)]
+    rows = [CSV_HEADER]
     for alpha_sq in request.grid():
         values = _point_values(request.n_states, float(alpha_sq), deg_tol)
         cells = []
-        for col in request.columns:
+        for col in CSV_HEADER.split(","):
             val = values[col]
             cells.append(str(val) if col == "failure_dim" else f"{val:.12e}")
         rows.append(",".join(cells))

@@ -20,17 +20,13 @@ from .ensemble import (
     DEFAULT_ZERO_THRESHOLD,
     CoefficientProfile,
     EnsembleSpec,
+    _frozen,
     coefficients,
 )
 from .errors import DegenerateEnsemble, DomainError, FullSeparation
 
 # Below this failure probability the failure branch is treated as empty.
 FULL_SEPARATION_EPS = 1e-15
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -165,10 +161,27 @@ def failure_profile(profile: CoefficientProfile) -> FailureProfile:
                           failure_dim=n - profile.multiplicity)
 
 
+def _failure_or_none(profile: CoefficientProfile) -> FailureProfile | None:
+    """failure_profile(profile), or None when the failure branch is empty."""
+    try:
+        return failure_profile(profile)
+    except FullSeparation:
+        return None
+
+
 def failure_med(fail: FailureProfile) -> float:
     """Minimum-error correct probability (1/N)(sum_j b_j)^2 on the failure set."""
     n = fail.n_states
     return float(fail.b.sum()) ** 2 / n
+
+
+def _failure_spectrum(b: np.ndarray) -> np.ndarray:
+    """(1/N) * |sum_l w^(-kl) b_l|^2 for k = 0..N-1, one FFT of b.
+
+    Equal to the double sum (1/N) * sum_{l,m} w^(-k(l-m)) b_l b_m, and, since
+    b is real, symmetric under k -> -k. Nonnegative by construction.
+    """
+    return np.abs(np.fft.fft(b)) ** 2 / b.shape[0]
 
 
 def ir_report(spec: EnsembleSpec,
@@ -185,14 +198,18 @@ def ir_report(spec: EnsembleSpec,
     """
     profile = coefficients(spec, zero_threshold=zero_threshold,
                            degeneracy_tol=degeneracy_tol)
+    return _ir_report(profile, _failure_or_none(profile))
+
+
+def _ir_report(profile: CoefficientProfile,
+               fail: FailureProfile | None) -> DiscriminationReport:
+    """ir_report from a coefficient profile and its failure profile (None
+    when the failure branch is empty)."""
     p_c_med = helstrom_med(profile)
-    try:
-        fail = failure_profile(profile)
-    except FullSeparation:
-        p_s = ud_success(profile)
+    if fail is None:
         nan = math.nan
         return DiscriminationReport(
-            p_s=p_s, p_c_med=p_c_med, p_c_med_beta=nan, p_c_ir=1.0,
+            p_s=ud_success(profile), p_c_med=p_c_med, p_c_med_beta=nan, p_c_ir=1.0,
             fidelity=nan, infidelity=nan, error_bound=nan,
             confidence_success=1.0, confidence_failure=nan,
             full_separation=True)
@@ -218,32 +235,26 @@ def joint_distribution(spec: EnsembleSpec,
                        degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> JointDistribution:
     """Joint outcome/branch probabilities conditioned on the preparation.
 
-    success[k'][k] = p_s * delta(k', k). failure[k'][k] is evaluated through
-    the literal double sum
-    ((1 - p_s)/N) * sum_{l,m} w^((k'-k)(l-m)) b_l b_m, clamped at zero. A
-    fully separating alphabet yields a zero failure block (the limit of the
-    formula), not an error.
+    success[k'][k] = p_s * delta(k', k). The failure block is circulant:
+    failure[k'][k] = ((1 - p_s)/N) * |sum_l w^((k'-k)l) b_l|^2, so its N
+    distinct entries are one FFT of the failure profile b. A fully separating
+    alphabet yields a zero failure block (the limit of the formula), not an
+    error.
     """
     profile = coefficients(spec, zero_threshold=zero_threshold,
                            degeneracy_tol=degeneracy_tol)
     if profile.degenerate:
         raise DegenerateEnsemble("joint distribution undefined for a single-state alphabet")
     n = profile.n_states
-    try:
-        fail = failure_profile(profile)
-    except FullSeparation:
+    fail = _failure_or_none(profile)
+    if fail is None:
         # The declared failure branch is empty, so the success block carries
         # its limit weight 1 and the columns stay normalized.
         return JointDistribution(success=_frozen(np.eye(n)),
                                  failure=_frozen(np.zeros((n, n))))
     p_s = fail.p_s
-    outer = np.outer(fail.b, fail.b)
+    shift_vals = (1.0 - p_s) * _failure_spectrum(fail.b)   # one per (k' - k) mod N
     idx = np.arange(n)
-    pair_diff = idx[:, None] - idx[None, :]          # l - m
-    shift_vals = np.empty(n)                         # one value per (k' - k) mod N
-    for d in range(n):
-        phase = np.exp(2j * np.pi * d * pair_diff / n)
-        shift_vals[d] = max(float((phase * outer).sum().real) * (1.0 - p_s) / n, 0.0)
     failure = shift_vals[(idx[:, None] - idx[None, :]) % n]
     success = np.eye(n) * p_s
     return JointDistribution(success=_frozen(success), failure=_frozen(failure))

@@ -118,11 +118,11 @@ def coefficients(spec: EnsembleSpec,
                  degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> CoefficientProfile:
     """Evaluate the squared coefficients and classify the minimum.
 
-    c_j^2 = (1/N) * sum_l w^(-j*l) * exp(alpha^2 * (w^l - 1)), an exact
-    N-term sum. Entries with c_j^2 below zero_threshold are masked as zero and
-    excluded from the c_min search; non-masked entries within
-    degeneracy_tol * max(c_min^2, 1e-300) of c_min^2 count toward the
-    multiplicity.
+    c_j^2 = (1/N) * sum_l w^(-j*l) * exp(alpha^2 * (w^l - 1)): the Gram
+    matrix is circulant, so the N sums are one FFT of its first row. Entries
+    with c_j^2 below zero_threshold are masked as zero and excluded from the
+    c_min search; non-masked entries within degeneracy_tol *
+    max(c_min^2, 1e-300) of c_min^2 count toward the multiplicity.
     """
     if not (0.0 < zero_threshold < 1.0):
         raise DomainError(f"zero_threshold must be in (0, 1), got {zero_threshold}")
@@ -130,11 +130,8 @@ def coefficients(spec: EnsembleSpec,
         raise DomainError(f"degeneracy_tol must be in (0, 1), got {degeneracy_tol}")
 
     n = spec.n_states
-    ell = np.arange(n)
-    w_ell = np.exp(2j * np.pi * ell / n)
-    generator = np.exp(spec.alpha_sq * (w_ell - 1.0))
-    phases = np.exp(-2j * np.pi * np.outer(ell, ell) / n)
-    sums = phases @ generator / n
+    w_ell = np.exp(2j * np.pi * np.arange(n) / n)
+    sums = np.fft.fft(np.exp(spec.alpha_sq * (w_ell - 1.0))) / n
 
     residue = float(np.max(np.abs(sums.imag)))
     if residue >= _IMAG_RESIDUE_TOL:

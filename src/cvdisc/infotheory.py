@@ -13,19 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrim import FailureProfile, JointDistribution, failure_profile, ud_success
+from .discrim import (
+    FailureProfile,
+    JointDistribution,
+    _failure_or_none,
+    _failure_spectrum,
+    ud_success,
+)
 from .ensemble import (
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_ZERO_THRESHOLD,
+    CoefficientProfile,
     EnsembleSpec,
+    _frozen,
     coefficients,
 )
-from .errors import DomainError, FullSeparation
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -67,19 +70,11 @@ def shannon_entropy(probs) -> float:
 def failure_posterior(fail: FailureProfile) -> PosteriorVector:
     """Posterior over preparations given outcome 0 on the failure branch.
 
-    probs[k] = (1/N) * |sum_l w^(-kl) b_l|^2, evaluated through the double
-    sum sum_{l,m} w^(-k(l-m)) b_l b_m. By symmetry the outcome-k posterior is
-    this vector rotated by k, so one vector carries the whole failure branch.
+    probs[k] = (1/N) * |sum_l w^(-kl) b_l|^2, the N entries being one FFT of
+    b. By symmetry the outcome-k posterior is this vector rotated by k, so
+    one vector carries the whole failure branch.
     """
-    n = fail.n_states
-    outer = np.outer(fail.b, fail.b)
-    idx = np.arange(n)
-    pair_diff = idx[:, None] - idx[None, :]
-    probs = np.empty(n)
-    for k in range(n):
-        phase = np.exp(-2j * np.pi * k * pair_diff / n)
-        probs[k] = float((phase * outer).sum().real) / n
-    probs = np.clip(probs, 0.0, None)
+    probs = _failure_spectrum(fail.b)
     # Parseval gives sum(probs) = sum(b^2), which the exact-zeroing of
     # band-degenerate entries leaves marginally below 1 near orthogonality;
     # a posterior must still sum to 1.
@@ -100,12 +95,16 @@ def info_report(spec: EnsembleSpec,
     """
     profile = coefficients(spec, zero_threshold=zero_threshold,
                            degeneracy_tol=degeneracy_tol)
-    log2n = math.log2(spec.n_states)
-    try:
-        fail = failure_profile(profile)
-    except FullSeparation:
-        p_s = ud_success(profile)
-        i_ud = p_s * log2n
+    return _info_report(profile, _failure_or_none(profile))
+
+
+def _info_report(profile: CoefficientProfile,
+                 fail: FailureProfile | None) -> InfoReport:
+    """info_report from a coefficient profile and its failure profile (None
+    when the failure branch is empty)."""
+    log2n = math.log2(profile.n_states)
+    if fail is None:
+        i_ud = ud_success(profile) * log2n
         return InfoReport(i_ud=i_ud, i_ir=log2n, gain=log2n - i_ud, h_fail=0.0)
     p_s = fail.p_s
     h_fail = shannon_entropy(failure_posterior(fail).probs)

@@ -19,17 +19,13 @@ from .ensemble import (
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_ZERO_THRESHOLD,
     EnsembleSpec,
+    _frozen,
     coefficients,
 )
 from .errors import DegenerateEnsemble, DomainError
 
 RNG_ALGORITHM = "numpy-pcg64"
 DEFAULT_SHOT_CAP = 10 ** 9
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .ensemble import (
     DEFAULT_DEGENERACY_TOL,
     DEFAULT_ZERO_THRESHOLD,
     EnsembleSpec,
+    _frozen,
     basis_amplitudes,
     coefficients,
 )
@@ -40,11 +41,6 @@ HERMITICITY_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
 _COMPLETENESS_TOL = 1e-10
 _PSD_CONSTRUCTION_TOL = 1e-10
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cvdisc import ensemble
 from cvdisc.analytic3 import KINK_PERIOD
 from cvdisc.cli import CSV_HEADER, main
 
@@ -22,6 +23,24 @@ def parse_report(out):
         key, _, val = line.partition("=")
         values[key.strip()] = val.strip()
     return values
+
+
+def count_coefficient_calls(monkeypatch):
+    """Wrap every cvdisc module attribute bound to ensemble.coefficients and
+    return the list that collects one entry per call."""
+    calls = []
+    original = ensemble.coefficients
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cvdisc" or name.startswith("cvdisc."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 # --- report -----------------------------------------------------------------
@@ -64,6 +83,13 @@ def test_report_larger_alphabet(capsys):
     assert "p_c_ir" in out
 
 
+def test_report_evaluates_coefficients_once(capsys, monkeypatch):
+    calls = count_coefficient_calls(monkeypatch)
+    code, _, _ = run(capsys, "report", "--n", "5", "--alpha2", "1.5")
+    assert code == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("report", "--n", "1", "--alpha2", "1.0"),
     ("report", "--n", "3", "--alpha2", "-1"),
@@ -100,6 +126,15 @@ def test_sweep_deterministic_bytes(capsys, tmp_path):
                          "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_evaluates_coefficients_once_per_point(capsys, monkeypatch, tmp_path):
+    calls = count_coefficient_calls(monkeypatch)
+    code, _, _ = run(capsys, "sweep", "--n", "4", "--alpha2-min", "0.2",
+                     "--alpha2-max", "3.0", "--steps", "7",
+                     "--out", str(tmp_path / "once.csv"))
+    assert code == 0
+    assert len(calls) == 7
 
 
 def test_sweep_failure_dim_drops_at_kink(capsys, tmp_path):
