@@ -24,7 +24,6 @@ from .ensemble import (
     BasisAmplitudes,
     CoefficientProfile,
     EnsembleSpec,
-    GramMatrix,
     basis_amplitudes,
     coefficients,
     gram,
@@ -39,10 +38,8 @@ from .errors import (
 )
 from .infotheory import (
     InfoReport,
-    PosteriorVector,
     failure_posterior,
     info_report,
-    mutual_information_from_joint,
     shannon_entropy,
 )
 from .montecarlo import MCConfig, MCResult, simulate
@@ -71,7 +68,6 @@ __all__ = [
     "EnsembleSpec",
     "FailureProfile",
     "FullSeparation",
-    "GramMatrix",
     "InfoReport",
     "JointDistribution",
     "KINK_PERIOD",
@@ -79,7 +75,6 @@ __all__ = [
     "MCResult",
     "MatrixWorkspace",
     "MedCertificate",
-    "PosteriorVector",
     "SeparationOperators",
     "basis_amplitudes",
     "brute_force_joint",
@@ -97,7 +92,6 @@ __all__ = [
     "ir_report",
     "joint_distribution",
     "kinks_n3",
-    "mutual_information_from_joint",
     "overlap_alpha_beta",
     "separation_operators",
     "shannon_entropy",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .ensemble import EnsembleSpec
 from .errors import DomainError
 
 # Spacing of the coefficient-degeneracy kinks: the phase phi advances by 2*pi
@@ -59,13 +60,7 @@ def solve_n3(alpha_sq: float) -> CubicSolution:
     then periodic. The schedule is the closed-form statement of "the root
     that stays in [1, 2]", so no runtime continuity tracking is needed.
     """
-    try:
-        a2 = float(alpha_sq)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"alpha_sq must be a real number, got {alpha_sq!r}") from exc
-    if not math.isfinite(a2) or a2 < 0.0:
-        raise DomainError(f"alpha_sq must be finite and >= 0, got {a2}")
-
+    a2 = EnsembleSpec(3, alpha_sq).alpha_sq
     theta = math.sqrt(3.0) * a2 / 2.0
     phi = 3.0 * theta
     damp = math.exp(-1.5 * a2)

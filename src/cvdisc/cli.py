@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic3, discrim, infotheory, montecarlo, oracle
-from .ensemble import DEFAULT_DEGENERACY_TOL, EnsembleSpec, coefficients
+from .ensemble import EnsembleSpec, coefficients
 from .errors import (
     CertificationFailure,
     CutoffOverflow,
@@ -85,16 +85,16 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _evaluate(n: int, alpha_sq: float, deg_tol: float):
+def _evaluate(n: int, alpha_sq: float):
     """Coefficient profile, ir_report and info_report of one point, with the
     coefficients and the failure profile computed once."""
-    profile = coefficients(EnsembleSpec(n, alpha_sq), degeneracy_tol=deg_tol)
+    profile = coefficients(EnsembleSpec(n, alpha_sq))
     fail = discrim._failure_or_none(profile)
     return profile, discrim._ir_report(profile, fail), infotheory._info_report(profile, fail)
 
 
-def _point_values(n: int, alpha_sq: float, deg_tol: float) -> dict[str, float | int]:
-    profile, rep, info = _evaluate(n, alpha_sq, deg_tol)
+def _point_values(n: int, alpha_sq: float) -> dict[str, float | int]:
+    profile, rep, info = _evaluate(n, alpha_sq)
     return {
         "alpha_sq": alpha_sq,
         "p_s": rep.p_s,
@@ -111,8 +111,8 @@ def _point_values(n: int, alpha_sq: float, deg_tol: float) -> dict[str, float | 
     }
 
 
-def cmd_report(n: int, alpha_sq: float, deg_tol: float) -> int:
-    profile, rep, info = _evaluate(n, alpha_sq, deg_tol)
+def cmd_report(n: int, alpha_sq: float) -> int:
+    profile, rep, info = _evaluate(n, alpha_sq)
     lines = [
         f"n_states            = {n}",
         f"alpha_sq            = {_g(alpha_sq)}",
@@ -136,10 +136,10 @@ def cmd_report(n: int, alpha_sq: float, deg_tol: float) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(request: SweepRequest, out_path: str, deg_tol: float) -> int:
+def cmd_sweep(request: SweepRequest, out_path: str) -> int:
     rows = [CSV_HEADER]
     for alpha_sq in request.grid():
-        values = _point_values(request.n_states, float(alpha_sq), deg_tol)
+        values = _point_values(request.n_states, float(alpha_sq))
         cells = []
         for col in CSV_HEADER.split(","):
             val = values[col]
@@ -155,8 +155,7 @@ def cmd_mc(n: int, alpha_sq: float, shots: int, seed: int,
     config = montecarlo.MCConfig(spec=spec, shots=shots, seed=seed)
     result = montecarlo.simulate(config)
     joint = discrim.joint_distribution(spec)
-    profile = coefficients(spec)
-    p_s = discrim.ud_success(profile)
+    rep = discrim.ir_report(spec)
 
     # Analytic probability of (prep k, outcome k', branch): uniform prior
     # over preparations times the conditional joint.
@@ -184,14 +183,10 @@ def cmd_mc(n: int, alpha_sq: float, shots: int, seed: int,
                 print(f"{k:4d} {kp:7d} {label:>6s} {count:10d} "
                       f"{emp:.6e} {prob:.6e} {z:8.3f}")
                 csv_rows.append(f"{k},{kp},{label},{count}")
-    try:
-        conf_analytic = discrim.failure_med(discrim.failure_profile(profile))
-    except FullSeparation:
-        conf_analytic = math.nan
     print(f"empirical_p_s                = {_g(result.empirical_p_s)}")
-    print(f"analytic_p_s                 = {_g(p_s)}")
+    print(f"analytic_p_s                 = {_g(rep.p_s)}")
     print(f"empirical_confidence_failure = {_g(result.empirical_confidence_failure)}")
-    print(f"analytic_confidence_failure  = {_g(conf_analytic)}")
+    print(f"analytic_confidence_failure  = {_g(rep.confidence_failure)}")
     print(f"max_abs_z                    = {_g(worst_z)}")
     print(f"rng_algorithm                = {result.rng_algorithm}")
 
@@ -228,8 +223,7 @@ def _fields(report: discrim.DiscriminationReport) -> dict[str, float]:
     return {name: getattr(report, name) for name in _REPORT_FIELDS}
 
 
-def cmd_verify(n: int, alpha_sq_list: list[float], tail_eps: float,
-               deg_tol: float) -> int:
+def cmd_verify(n: int, alpha_sq_list: list[float], tail_eps: float) -> int:
     all_ok = True
 
     def check(label: str, ok: bool, detail: str) -> None:
@@ -240,7 +234,7 @@ def cmd_verify(n: int, alpha_sq_list: list[float], tail_eps: float,
     for alpha_sq in alpha_sq_list:
         spec = EnsembleSpec(n, alpha_sq)
         tag = f"(n={n}, alpha_sq={_g(alpha_sq)})"
-        ws = oracle.build_workspace(spec, "phi", degeneracy_tol=deg_tol)
+        ws = oracle.build_workspace(spec, "phi")
 
         for which in ("inputs", "failure_states"):
             cert = oracle.certify_med_optimality(ws, which)
@@ -248,14 +242,13 @@ def cmd_verify(n: int, alpha_sq_list: list[float], tail_eps: float,
                   f"worst eigenvalue {cert.worst_eigenvalue:.3e}, "
                   f"hermiticity defect {cert.hermiticity_defect:.3e}")
 
-        closed = discrim.ir_report(spec, degeneracy_tol=deg_tol)
+        closed = discrim.ir_report(spec)
         brute = oracle.brute_force_probabilities(ws)
         gap = max(abs(a - b) for a, b in zip(_fields(closed).values(),
                                              _fields(brute).values()))
         check(f"closed-vs-brute {tag}", gap < 1e-9, f"max field gap {gap:.3e}")
 
-        ws_fock = oracle.build_workspace(spec, "fock", tail_eps=tail_eps,
-                                         degeneracy_tol=deg_tol)
+        ws_fock = oracle.build_workspace(spec, "fock", tail_eps=tail_eps)
         brute_fock = oracle.brute_force_probabilities(ws_fock)
         tol = max(1e-9, 100.0 * tail_eps)
         gap = max(abs(a - b) for a, b in zip(_fields(brute).values(),
@@ -288,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="print all figures of merit for one point")
     rep.add_argument("--n", type=int, required=True)
     rep.add_argument("--alpha2", type=float, required=True)
-    rep.add_argument("--deg-tol", type=float, default=DEFAULT_DEGENERACY_TOL)
 
     swp = sub.add_parser("sweep", help="write a CSV over a uniform alpha^2 grid")
     swp.add_argument("--n", type=int, required=True)
@@ -296,7 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--alpha2-max", type=float, required=True)
     swp.add_argument("--steps", type=int, required=True)
     swp.add_argument("--out", required=True)
-    swp.add_argument("--deg-tol", type=float, default=DEFAULT_DEGENERACY_TOL)
 
     mc = sub.add_parser("mc", help="run the seeded measurement-chain simulator")
     mc.add_argument("--n", type=int, required=True)
@@ -313,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--alpha2", type=_alpha_list, required=True,
                      help="comma-separated alpha^2 values")
     ver.add_argument("--tail-eps", type=float, default=1e-12)
-    ver.add_argument("--deg-tol", type=float, default=DEFAULT_DEGENERACY_TOL)
 
     return parser
 
@@ -327,17 +317,17 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "report":
-            return cmd_report(args.n, args.alpha2, args.deg_tol)
+            return cmd_report(args.n, args.alpha2)
         if args.command == "sweep":
             request = SweepRequest(n_states=args.n, alpha_sq_min=args.alpha2_min,
                                    alpha_sq_max=args.alpha2_max, steps=args.steps)
-            return cmd_sweep(request, args.out, args.deg_tol)
+            return cmd_sweep(request, args.out)
         if args.command == "mc":
             return cmd_mc(args.n, args.alpha2, args.shots, args.seed, args.out)
         if args.command == "n3":
             return cmd_n3(args.alpha2)
         if args.command == "verify":
-            return cmd_verify(args.n, args.alpha2, args.tail_eps, args.deg_tol)
+            return cmd_verify(args.n, args.alpha2, args.tail_eps)
         parser.error(f"unknown command {args.command!r}")
     except CertificationFailure as exc:
         print(f"certification failure: {exc}", file=sys.stderr)

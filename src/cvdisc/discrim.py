@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import (
-    DEFAULT_DEGENERACY_TOL,
-    DEFAULT_ZERO_THRESHOLD,
-    CoefficientProfile,
-    EnsembleSpec,
-    _frozen,
-    coefficients,
-)
+from .ensemble import CoefficientProfile, EnsembleSpec, _frozen, coefficients
 from .errors import DegenerateEnsemble, DomainError, FullSeparation
 
 # Below this failure probability the failure branch is treated as empty.
@@ -184,9 +177,7 @@ def _failure_spectrum(b: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.fft(b)) ** 2 / b.shape[0]
 
 
-def ir_report(spec: EnsembleSpec,
-              zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
-              degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> DiscriminationReport:
+def ir_report(spec: EnsembleSpec) -> DiscriminationReport:
     """Assemble every scalar figure of merit for one alphabet.
 
     The recycled strategy succeeds with p_s and otherwise falls back on
@@ -196,8 +187,7 @@ def ir_report(spec: EnsembleSpec,
     and its failure state, and 1 - F/p_c_med lower-bounds the failure-set
     error probability.
     """
-    profile = coefficients(spec, zero_threshold=zero_threshold,
-                           degeneracy_tol=degeneracy_tol)
+    profile = coefficients(spec)
     return _ir_report(profile, _failure_or_none(profile))
 
 
@@ -230,9 +220,7 @@ def _ir_report(profile: CoefficientProfile,
     )
 
 
-def joint_distribution(spec: EnsembleSpec,
-                       zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
-                       degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> JointDistribution:
+def joint_distribution(spec: EnsembleSpec) -> JointDistribution:
     """Joint outcome/branch probabilities conditioned on the preparation.
 
     success[k'][k] = p_s * delta(k', k). The failure block is circulant:
@@ -241,8 +229,7 @@ def joint_distribution(spec: EnsembleSpec,
     alphabet yields a zero failure block (the limit of the formula), not an
     error.
     """
-    profile = coefficients(spec, zero_threshold=zero_threshold,
-                           degeneracy_tol=degeneracy_tol)
+    profile = coefficients(spec)
     if profile.degenerate:
         raise DegenerateEnsemble("joint distribution undefined for a single-state alphabet")
     n = profile.n_states
@@ -260,9 +247,7 @@ def joint_distribution(spec: EnsembleSpec,
     return JointDistribution(success=_frozen(success), failure=_frozen(failure))
 
 
-def overlap_alpha_beta(spec: EnsembleSpec, j: int, k: int,
-                       zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
-                       degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> complex:
+def overlap_alpha_beta(spec: EnsembleSpec, j: int, k: int) -> complex:
     """Overlap <alpha_j|beta_k> = sum_l c_l b_l w^(l(k-j)).
 
     Its magnitude is maximal at j = k, where it equals sqrt(fidelity).
@@ -272,8 +257,7 @@ def overlap_alpha_beta(spec: EnsembleSpec, j: int, k: int,
         raise DomainError(f"indices must be integers, got {j!r}, {k!r}")
     if not (0 <= j < n and 0 <= k < n):
         raise DomainError(f"indices must lie in [0, {n}), got {j}, {k}")
-    profile = coefficients(spec, zero_threshold=zero_threshold,
-                           degeneracy_tol=degeneracy_tol)
+    profile = coefficients(spec)
     fail = failure_profile(profile)
     ell = np.arange(n)
     return complex(np.sum(profile.c * fail.b * np.exp(2j * np.pi * ell * (k - j) / n)))

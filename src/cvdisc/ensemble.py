@@ -19,8 +19,9 @@ from scipy import special
 
 from .errors import CutoffOverflow, DomainError
 
-DEFAULT_ZERO_THRESHOLD = 1e-12
-DEFAULT_DEGENERACY_TOL = 1e-9
+# The package's one tolerance policy; coefficients() documents how each applies.
+ZERO_THRESHOLD = 1e-12
+DEGENERACY_TOL = 1e-9
 DEFAULT_FOCK_CAP = 4096
 FOCK_CAP_ENV = "CVDISC_HARD_CUTOFF"
 
@@ -85,17 +86,6 @@ class CoefficientProfile:
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Mutual overlaps <alpha_j|alpha_k> of the alphabet states."""
-
-    entries: np.ndarray
-
-    @property
-    def n_states(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class BasisAmplitudes:
     """Fock-space amplitudes of the symmetric basis vectors.
 
@@ -113,22 +103,15 @@ class BasisAmplitudes:
         return self.amps.shape[0]
 
 
-def coefficients(spec: EnsembleSpec,
-                 zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
-                 degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> CoefficientProfile:
+def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
     """Evaluate the squared coefficients and classify the minimum.
 
     c_j^2 = (1/N) * sum_l w^(-j*l) * exp(alpha^2 * (w^l - 1)): the Gram
     matrix is circulant, so the N sums are one FFT of its first row. Entries
-    with c_j^2 below zero_threshold are masked as zero and excluded from the
-    c_min search; non-masked entries within degeneracy_tol *
+    with c_j^2 below ZERO_THRESHOLD are masked as zero and excluded from the
+    c_min search; non-masked entries within DEGENERACY_TOL *
     max(c_min^2, 1e-300) of c_min^2 count toward the multiplicity.
     """
-    if not (0.0 < zero_threshold < 1.0):
-        raise DomainError(f"zero_threshold must be in (0, 1), got {zero_threshold}")
-    if not (0.0 < degeneracy_tol < 1.0):
-        raise DomainError(f"degeneracy_tol must be in (0, 1), got {degeneracy_tol}")
-
     n = spec.n_states
     w_ell = np.exp(2j * np.pi * np.arange(n) / n)
     sums = np.fft.fft(np.exp(spec.alpha_sq * (w_ell - 1.0))) / n
@@ -142,7 +125,7 @@ def coefficients(spec: EnsembleSpec,
         raise DomainError(f"coefficient sum fell below -1e-12: min {c_sq.min():.3e}")
     c_sq = np.clip(c_sq, 0.0, None)
 
-    zero_mask = c_sq < zero_threshold
+    zero_mask = c_sq < ZERO_THRESHOLD
     live = ~zero_mask
     if not live.any():
         # Unreachable for a valid spec (the c_sq sum to 1) but kept as a guard.
@@ -154,7 +137,7 @@ def coefficients(spec: EnsembleSpec,
     c_sq = np.where(zero_mask, 0.0, c_sq)
     c = np.sqrt(c_sq)
     c_min_sq = float(c_sq[live].min())
-    band = degeneracy_tol * max(c_min_sq, 1e-300)
+    band = DEGENERACY_TOL * max(c_min_sq, 1e-300)
     gaps = c_sq - c_min_sq
     degenerate_mask = live & (gaps <= band)
     multiplicity = int(degenerate_mask.sum())
@@ -173,55 +156,48 @@ def coefficients(spec: EnsembleSpec,
     )
 
 
-def gram(spec: EnsembleSpec) -> GramMatrix:
+def gram(spec: EnsembleSpec) -> np.ndarray:
     """Overlap matrix G[j][k] = exp(alpha^2 * (w^(k-j) - 1)).
 
     Circulant, Hermitian, with unit diagonal; off-diagonal magnitudes decay
-    as exp(-alpha^2 * (1 - cos(2*pi*(k-j)/N))).
+    as exp(-alpha^2 * (1 - cos(2*pi*(k-j)/N))). The array is read-only.
     """
     n = spec.n_states
     idx = np.arange(n)
     diff = idx[None, :] - idx[:, None]
     entries = np.exp(spec.alpha_sq * (np.exp(2j * np.pi * diff / n) - 1.0))
-    return GramMatrix(entries=_frozen(entries))
+    return _frozen(entries)
 
 
-def _hard_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        cap = explicit
-    else:
-        raw = os.environ.get(FOCK_CAP_ENV)
-        if raw is None:
-            return DEFAULT_FOCK_CAP
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise DomainError(f"{FOCK_CAP_ENV} must be an integer, got {raw!r}") from exc
+def _fock_cap() -> int:
+    raw = os.environ.get(FOCK_CAP_ENV)
+    if raw is None:
+        return DEFAULT_FOCK_CAP
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise DomainError(f"{FOCK_CAP_ENV} must be an integer, got {raw!r}") from exc
     if cap < 1:
         raise DomainError(f"Fock hard cap must be >= 1, got {cap}")
     return cap
 
 
-def basis_amplitudes(spec: EnsembleSpec,
-                     tail_eps: float,
-                     zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
-                     hard_cap: int | None = None) -> BasisAmplitudes:
+def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     """Fock amplitudes <n|phi_j> = exp(-alpha^2/2) * alpha^n / (c_j * sqrt(n!))
     on the ladder n = j + p*N, for every non-masked j (masked rows are zero).
 
     The cutoff is the smallest n_max >= N-1 whose Poisson tail mass is below
     tail_eps. Amplitudes are computed in log space; n_max can reach hundreds
-    and alpha^n / sqrt(n!) overflows long before that. When hard_cap is None
-    the cap comes from the CVDISC_HARD_CUTOFF environment variable, default
-    4096.
+    and alpha^n / sqrt(n!) overflows long before that. The cutoff is capped
+    by the CVDISC_HARD_CUTOFF environment variable, default 4096.
     """
     if not (0.0 < tail_eps <= 1e-6):
         raise DomainError(f"tail_eps must be in (0, 1e-6], got {tail_eps}")
-    cap = _hard_cap(hard_cap)
+    cap = _fock_cap()
 
     n = spec.n_states
     a2 = spec.alpha_sq
-    profile = coefficients(spec, zero_threshold=zero_threshold)
+    profile = coefficients(spec)
 
     # Poisson tail P(X > m) = gammainc(m+1, a2), regularized lower incomplete.
     candidates = np.arange(n - 1, cap + 1)

@@ -13,33 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrim import (
-    FailureProfile,
-    JointDistribution,
-    _failure_or_none,
-    _failure_spectrum,
-    ud_success,
-)
-from .ensemble import (
-    DEFAULT_DEGENERACY_TOL,
-    DEFAULT_ZERO_THRESHOLD,
-    CoefficientProfile,
-    EnsembleSpec,
-    _frozen,
-    coefficients,
-)
+from .discrim import FailureProfile, _failure_or_none, _failure_spectrum, ud_success
+from .ensemble import CoefficientProfile, EnsembleSpec, _frozen, coefficients
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class PosteriorVector:
-    """Posterior p(prepared k | outcome 0, failure branch); entry 0 is maximal."""
-
-    probs: np.ndarray
-
-    @property
-    def n_states(self) -> int:
-        return self.probs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -67,24 +43,23 @@ def shannon_entropy(probs) -> float:
     return float(-(p[nz] * np.log2(p[nz])).sum())
 
 
-def failure_posterior(fail: FailureProfile) -> PosteriorVector:
+def failure_posterior(fail: FailureProfile) -> np.ndarray:
     """Posterior over preparations given outcome 0 on the failure branch.
 
     probs[k] = (1/N) * |sum_l w^(-kl) b_l|^2, the N entries being one FFT of
-    b. By symmetry the outcome-k posterior is this vector rotated by k, so
-    one vector carries the whole failure branch.
+    b; entry 0 is maximal and the array is read-only. By symmetry the
+    outcome-k posterior is this vector rotated by k, so one vector carries
+    the whole failure branch.
     """
     probs = _failure_spectrum(fail.b)
     # Parseval gives sum(probs) = sum(b^2), which the exact-zeroing of
     # band-degenerate entries leaves marginally below 1 near orthogonality;
     # a posterior must still sum to 1.
     probs /= probs.sum()
-    return PosteriorVector(probs=_frozen(probs))
+    return _frozen(probs)
 
 
-def info_report(spec: EnsembleSpec,
-                zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
-                degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> InfoReport:
+def info_report(spec: EnsembleSpec) -> InfoReport:
     """Mutual informations of the unambiguous-only and recycled strategies.
 
     i_ud = p_s * log2(N); i_ir = log2(N) - (1 - p_s) * H(failure posterior),
@@ -93,8 +68,7 @@ def info_report(spec: EnsembleSpec,
     and i_ir = log2(N) by the empty-failure-branch limit. The vacuum alphabet
     passes through with i_ud = i_ir = 0.
     """
-    profile = coefficients(spec, zero_threshold=zero_threshold,
-                           degeneracy_tol=degeneracy_tol)
+    profile = coefficients(spec)
     return _info_report(profile, _failure_or_none(profile))
 
 
@@ -107,28 +81,7 @@ def _info_report(profile: CoefficientProfile,
         i_ud = ud_success(profile) * log2n
         return InfoReport(i_ud=i_ud, i_ir=log2n, gain=log2n - i_ud, h_fail=0.0)
     p_s = fail.p_s
-    h_fail = shannon_entropy(failure_posterior(fail).probs)
+    h_fail = shannon_entropy(failure_posterior(fail))
     i_ud = p_s * log2n
     i_ir = log2n - (1.0 - p_s) * h_fail
     return InfoReport(i_ud=i_ud, i_ir=i_ir, gain=i_ir - i_ud, h_fail=h_fail)
-
-
-def mutual_information_from_joint(joint: JointDistribution) -> float:
-    """Mutual information in bits from the full 2N-outcome joint distribution.
-
-    Redundant evaluation path kept as a cross-check against the
-    symmetry-reduced formula in info_report: builds p(outcome, branch | k),
-    the outcome marginals under the uniform prior, and the exact Bayes
-    posteriors, with no symmetry assumption.
-    """
-    n = joint.n_states
-    cond = np.vstack([joint.success, joint.failure])     # (2N, N): p(m | k)
-    marginal = cond.mean(axis=1)                         # p(m), uniform prior
-    h_cond = 0.0
-    for m in range(2 * n):
-        if marginal[m] <= 0.0:
-            continue
-        posterior = cond[m] / (n * marginal[m])
-        nz = posterior > 0.0
-        h_cond -= marginal[m] * float((posterior[nz] * np.log2(posterior[nz])).sum())
-    return math.log2(n) - h_cond

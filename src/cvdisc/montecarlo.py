@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrim import joint_distribution, ud_success
-from .ensemble import (
-    DEFAULT_DEGENERACY_TOL,
-    DEFAULT_ZERO_THRESHOLD,
-    EnsembleSpec,
-    _frozen,
-    coefficients,
-)
+from .ensemble import EnsembleSpec, _frozen, coefficients
 from .errors import DegenerateEnsemble, DomainError
 
 RNG_ALGORITHM = "numpy-pcg64"

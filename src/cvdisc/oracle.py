@@ -25,14 +25,7 @@ from .discrim import (
     failure_profile,
     separation_operators,
 )
-from .ensemble import (
-    DEFAULT_DEGENERACY_TOL,
-    DEFAULT_ZERO_THRESHOLD,
-    EnsembleSpec,
-    _frozen,
-    basis_amplitudes,
-    coefficients,
-)
+from .ensemble import EnsembleSpec, _frozen, basis_amplitudes, coefficients
 from .errors import CertificationFailure, DomainError
 
 HERMITICITY_TOL = 1e-10
@@ -99,10 +92,7 @@ class MedCertificate:
 
 def build_workspace(spec: EnsembleSpec,
                     basis: str = "phi",
-                    tail_eps: float = 1e-14,
-                    zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
-                    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-                    hard_cap: int | None = None) -> MatrixWorkspace:
+                    tail_eps: float = 1e-14) -> MatrixWorkspace:
     """Assemble all states and operators and verify structural invariants.
 
     basis 'phi' works in the N-dimensional symmetric basis (exact, fast);
@@ -113,8 +103,7 @@ def build_workspace(spec: EnsembleSpec,
     """
     if basis not in ("phi", "fock"):
         raise DomainError(f"basis must be 'phi' or 'fock', got {basis!r}")
-    profile = coefficients(spec, zero_threshold=zero_threshold,
-                           degeneracy_tol=degeneracy_tol)
+    profile = coefficients(spec)
     sep = separation_operators(profile)       # raises DegenerateEnsemble on vacuum
     fail = failure_profile(profile)           # raises FullSeparation when empty
     n = spec.n_states
@@ -123,8 +112,7 @@ def build_workspace(spec: EnsembleSpec,
         phi_rows = np.eye(n, dtype=complex)
         tail_mass = 0.0
     else:
-        amp = basis_amplitudes(spec, tail_eps, zero_threshold=zero_threshold,
-                               hard_cap=hard_cap)
+        amp = basis_amplitudes(spec, tail_eps)
         phi_rows = amp.amps.astype(complex)
         tail_mass = amp.tail_mass
     dim = phi_rows.shape[1]

@@ -34,7 +34,7 @@ def check_overlap_relation(n, a2):
     """<beta_j|beta_k> = G[j][k] / (1 - p_s) for j != k, via sum_l b_l^2 w^(lm)."""
     bad = []
     fail = failure_profile(coefficients(EnsembleSpec(n, a2)))
-    g = gram(EnsembleSpec(n, a2)).entries
+    g = gram(EnsembleSpec(n, a2))
     ell = np.arange(n)
     for m in range(1, n):
         lhs = np.sum(fail.b ** 2 * np.exp(2j * np.pi * ell * m / n))

@@ -16,7 +16,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy import optimize
 
 import gridchecks

@@ -188,7 +188,10 @@ def test_mc_reports_table_and_stream(capsys):
     assert code == 0
     assert "rng_algorithm                = numpy-pcg64" in out
     assert "max_abs_z" in out
-    assert "empirical_p_s" in out
+    values = parse_report(out[out.index("empirical_p_s"):])
+    # %.12g of 0.561043547430 drops the trailing zero.
+    assert values["analytic_p_s"] == "0.56104354743"
+    assert values["analytic_confidence_failure"] == "0.664797247539"
 
 
 def test_mc_same_seed_same_stdout(capsys):
@@ -227,6 +230,7 @@ def test_mc_full_separation(capsys):
     values = parse_report(out[out.index("empirical_p_s"):])
     assert values["empirical_p_s"] == "1"
     assert values["empirical_confidence_failure"] == "nan"
+    assert values["analytic_confidence_failure"] == "nan"
 
 
 def test_mc_bad_shots_exit_2(capsys):
@@ -305,6 +309,7 @@ def test_verify_bad_list_exit_2(capsys):
     ("report", "--alpha2", "1.0"),
     ("sweep", "--n", "3", "--alpha2-min", "x", "--alpha2-max", "1",
      "--steps", "2", "--out", "y.csv"),
+    ("report", "--n", "3", "--alpha2", "1.0", "--deg-tol", "1e-6"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     assert run(capsys, *argv)[0] == 2

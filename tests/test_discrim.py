@@ -14,7 +14,6 @@ from cvdisc import (
     coefficients,
     failure_med,
     failure_profile,
-    gram,
     helstrom_med,
     ir_report,
     joint_distribution,

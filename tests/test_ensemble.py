@@ -130,22 +130,6 @@ def test_zero_mask_small_amplitude():
     assert profile.c[2] == 0.0
 
 
-def test_zero_threshold_is_adjustable():
-    # c_5^2 ~ 8e-13 at (N=6, 0.01): masked by default, live at 1e-14.
-    spec = EnsembleSpec(6, 0.01)
-    assert coefficients(spec).zero_mask[5]
-    assert not coefficients(spec, zero_threshold=1e-14).zero_mask[5]
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"zero_threshold": 0.0}, {"zero_threshold": 1.0}, {"zero_threshold": -1e-3},
-    {"degeneracy_tol": 0.0}, {"degeneracy_tol": 2.0},
-])
-def test_coefficients_tolerance_validation(kwargs):
-    with pytest.raises(DomainError):
-        coefficients(EnsembleSpec(3, 1.0), **kwargs)
-
-
 def test_profile_arrays_are_immutable():
     profile = coefficients(EnsembleSpec(3, 1.0))
     with pytest.raises(ValueError):
@@ -156,12 +140,12 @@ def test_profile_arrays_are_immutable():
 
 
 def test_gram_identical_states():
-    g = gram(EnsembleSpec(2, 0.0)).entries
+    g = gram(EnsembleSpec(2, 0.0))
     np.testing.assert_array_equal(g, np.ones((2, 2)))
 
 
 def test_gram_3_1_entry():
-    g = gram(EnsembleSpec(3, 1.0)).entries
+    g = gram(EnsembleSpec(3, 1.0))
     # <a_0|a_1> = exp(a^2 (w - 1)) with w - 1 = -3/2 + i sqrt(3)/2
     assert abs(g[0, 1]) == pytest.approx(math.exp(-1.5), abs=1e-15)
     assert np.angle(g[0, 1]) == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
@@ -169,7 +153,7 @@ def test_gram_3_1_entry():
 
 def test_gram_structure():
     for n, a2 in ((2, 0.5), (3, 1.0), (5, 2.2), (7, 0.9)):
-        g = gram(EnsembleSpec(n, a2)).entries
+        g = gram(EnsembleSpec(n, a2))
         np.testing.assert_allclose(g, g.conj().T, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(np.diag(g), np.ones(n))
         idx = np.arange(n)
@@ -178,7 +162,7 @@ def test_gram_structure():
 
 
 def test_gram_orthogonality_limit():
-    g = gram(EnsembleSpec(3, 40.0)).entries
+    g = gram(EnsembleSpec(3, 40.0))
     off = g[~np.eye(3, dtype=bool)]
     assert np.max(np.abs(off)) < 1e-26
 
@@ -187,7 +171,7 @@ def test_gram_orthogonality_limit():
 def test_gram_coefficient_consistency(n, alpha_sq):
     # G is the Fourier transform of the coefficient spectrum.
     profile = coefficients(EnsembleSpec(n, alpha_sq))
-    g = gram(EnsembleSpec(n, alpha_sq)).entries
+    g = gram(EnsembleSpec(n, alpha_sq))
     j = np.arange(n)
     for d in range(n):
         lhs = np.sum(profile.c_sq * np.exp(2j * np.pi * j * d / n))
@@ -197,7 +181,7 @@ def test_gram_coefficient_consistency(n, alpha_sq):
 def test_gram_eigenvalues_are_scaled_coefficients():
     n, a2 = 5, 1.3
     profile = coefficients(EnsembleSpec(n, a2))
-    g = gram(EnsembleSpec(n, a2)).entries
+    g = gram(EnsembleSpec(n, a2))
     eigs = np.sort(np.linalg.eigvalsh(g))
     np.testing.assert_allclose(eigs, np.sort(n * profile.c_sq), rtol=0, atol=1e-10)
 
@@ -253,18 +237,20 @@ def test_tail_eps_validation(tail_eps):
         basis_amplitudes(EnsembleSpec(3, 1.0), tail_eps)
 
 
-def test_cutoff_overflow():
+def test_cutoff_overflow(monkeypatch):
+    monkeypatch.setenv(FOCK_CAP_ENV, "16")
     with pytest.raises(CutoffOverflow):
-        basis_amplitudes(EnsembleSpec(3, 30.0), 1e-12, hard_cap=16)
+        basis_amplitudes(EnsembleSpec(3, 30.0), 1e-12)
 
 
 def test_hard_cap_env_override(monkeypatch):
     monkeypatch.setenv(FOCK_CAP_ENV, "8")
     with pytest.raises(CutoffOverflow):
         basis_amplitudes(EnsembleSpec(3, 30.0), 1e-12)
-    # An explicit cap wins over the environment.
-    amp = basis_amplitudes(EnsembleSpec(3, 30.0), 1e-12, hard_cap=DEFAULT_FOCK_CAP)
-    assert amp.cutoff > 8
+    # Without the variable the default cap applies again.
+    monkeypatch.delenv(FOCK_CAP_ENV)
+    amp = basis_amplitudes(EnsembleSpec(3, 30.0), 1e-12)
+    assert 8 < amp.cutoff <= DEFAULT_FOCK_CAP
 
 
 def test_hard_cap_env_validation(monkeypatch):

@@ -63,7 +63,7 @@ def failure_block_double_sum(b, p_s):
 @pytest.mark.parametrize("n,alpha_sq", POINTS)
 def test_posterior_matches_double_sum(n, alpha_sq):
     fail = failure_profile(coefficients(EnsembleSpec(n, alpha_sq)))
-    np.testing.assert_allclose(failure_posterior(fail).probs,
+    np.testing.assert_allclose(failure_posterior(fail),
                                posterior_double_sum(fail.b), rtol=0, atol=1e-14)
 
 

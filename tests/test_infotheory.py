@@ -13,7 +13,6 @@ from cvdisc import (
     failure_profile,
     info_report,
     joint_distribution,
-    mutual_information_from_joint,
     shannon_entropy,
 )
 from cvdisc.analytic3 import KINK_PERIOD
@@ -59,25 +58,25 @@ def test_entropy_rejects_bad_input(probs):
 def test_posterior_frozen_3_1():
     fail = failure_profile(coefficients(EnsembleSpec(3, 1.0)))
     post = failure_posterior(fail)
-    np.testing.assert_allclose(post.probs, POSTERIOR_3_1, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(post, POSTERIOR_3_1, rtol=0, atol=1e-9)
     # Entry 0 is the correct-guess probability on the failure branch.
     from cvdisc import failure_med
-    assert post.probs[0] == pytest.approx(failure_med(fail), abs=1e-12)
+    assert post[0] == pytest.approx(failure_med(fail), abs=1e-12)
 
 
 @pytest.mark.parametrize("n,alpha_sq", [(3, 0.4), (5, 2.0), (6, 1.1)])
 def test_posterior_normalized_and_peaked(n, alpha_sq):
     fail = failure_profile(coefficients(EnsembleSpec(n, alpha_sq)))
     post = failure_posterior(fail)
-    assert abs(post.probs.sum() - 1.0) < 1e-12
-    assert post.probs.min() >= 0.0
-    assert np.argmax(post.probs) == 0
+    assert abs(post.sum() - 1.0) < 1e-12
+    assert post.min() >= 0.0
+    assert np.argmax(post) == 0
 
 
 def test_posterior_uniform_when_failure_set_is_one_dimensional():
     fail = failure_profile(coefficients(EnsembleSpec(2, 1.0)))
     post = failure_posterior(fail)
-    np.testing.assert_allclose(post.probs, 0.5, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(post, 0.5, rtol=0, atol=1e-12)
 
 
 # --- info_report -------------------------------------------------------------
@@ -121,7 +120,28 @@ def test_info_identity_gain():
     assert info.gain == pytest.approx(info.i_ir - info.i_ud, abs=1e-15)
 
 
-# --- mutual_information_from_joint --------------------------------------------
+# --- full-joint cross-check ----------------------------------------------------
+
+
+def mutual_information_from_joint(joint):
+    """Mutual information in bits from the full 2N-outcome joint distribution.
+
+    Redundant evaluation path kept as a cross-check against the
+    symmetry-reduced formula in info_report: builds p(outcome, branch | k),
+    the outcome marginals under the uniform prior, and the exact Bayes
+    posteriors, with no symmetry assumption.
+    """
+    n = joint.n_states
+    cond = np.vstack([joint.success, joint.failure])     # (2N, N): p(m | k)
+    marginal = cond.mean(axis=1)                         # p(m), uniform prior
+    h_cond = 0.0
+    for m in range(2 * n):
+        if marginal[m] <= 0.0:
+            continue
+        posterior = cond[m] / (n * marginal[m])
+        nz = posterior > 0.0
+        h_cond -= marginal[m] * float((posterior[nz] * np.log2(posterior[nz])).sum())
+    return math.log2(n) - h_cond
 
 
 @pytest.mark.parametrize("n,alpha_sq", [

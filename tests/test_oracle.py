@@ -18,6 +18,7 @@ from cvdisc import (
     ir_report,
     joint_distribution,
 )
+from cvdisc.ensemble import FOCK_CAP_ENV
 
 REPORT_FIELDS = ("p_s", "p_c_med", "p_c_med_beta", "p_c_ir", "fidelity",
                  "infidelity", "error_bound", "confidence_success",
@@ -45,7 +46,7 @@ def test_workspace_phi_basic():
 def test_workspace_states_reproduce_gram():
     ws = build_workspace(EnsembleSpec(4, 1.3), basis="fock", tail_eps=1e-14)
     g = ws.alpha_states.conj() @ ws.alpha_states.T
-    np.testing.assert_allclose(g, gram(EnsembleSpec(4, 1.3)).entries,
+    np.testing.assert_allclose(g, gram(EnsembleSpec(4, 1.3)),
                                rtol=0, atol=1e-10)
 
 
@@ -65,10 +66,10 @@ def test_workspace_vacuum_raises():
         build_workspace(EnsembleSpec(3, 0.0))
 
 
-def test_workspace_fock_cap_overflow():
+def test_workspace_fock_cap_overflow(monkeypatch):
+    monkeypatch.setenv(FOCK_CAP_ENV, "8")
     with pytest.raises(CutoffOverflow):
-        build_workspace(EnsembleSpec(3, 6.0), basis="fock", tail_eps=1e-12,
-                        hard_cap=8)
+        build_workspace(EnsembleSpec(3, 6.0), basis="fock", tail_eps=1e-12)
 
 
 # --- brute force vs closed form ------------------------------------------------
