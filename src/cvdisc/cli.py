@@ -154,14 +154,13 @@ def cmd_mc(n: int, alpha_sq: float, shots: int, seed: int,
     spec = EnsembleSpec(n, alpha_sq)
     config = montecarlo.MCConfig(spec=spec, shots=shots, seed=seed)
     result = montecarlo.simulate(config)
-    joint = discrim.joint_distribution(spec)
     rep = discrim.ir_report(spec)
 
     # Analytic probability of (prep k, outcome k', branch): uniform prior
     # over preparations times the conditional joint.
     analytic = np.empty((n, n, 2))
-    analytic[:, :, 0] = joint.success.T / n
-    analytic[:, :, 1] = joint.failure.T / n
+    analytic[:, :, 0] = result.joint.success.T / n
+    analytic[:, :, 1] = result.joint.failure.T / n
 
     worst_z = 0.0
     print("prep outcome branch      count    empirical     analytic        z")

@@ -28,8 +28,8 @@ class SeparationOperators:
 
     Success action scales basis vector j by c_min/c_j, failure by
     sqrt(1 - (c_min/c_j)^2); the failure unitary is fixed to the identity.
-    Masked (zero-coefficient) entries carry the convention success = 1,
-    failure = 0: the map acts as the identity off the alphabet's support.
+    Entries degenerate with c_min, including any c_j that underflows to 0
+    (then c_min = 0), keep the exact fixed point success = 1, failure = 0.
     """
 
     a_success_diag: np.ndarray
@@ -100,11 +100,9 @@ def helstrom_med(profile: CoefficientProfile) -> float:
 def ud_success(profile: CoefficientProfile) -> float:
     """Optimal unambiguous-discrimination success probability N * c_min^2.
 
-    The degenerate single-coefficient profile (vacuum alphabet) returns 0 by
-    continuity: identical states admit no unambiguous conclusion.
+    It is 0 for the vacuum alphabet, where c_min = 0: identical states admit
+    no unambiguous conclusion.
     """
-    if profile.degenerate:
-        return 0.0
     return profile.n_states * profile.c_min ** 2
 
 
@@ -115,41 +113,37 @@ def separation_operators(profile: CoefficientProfile) -> SeparationOperators:
     n = profile.n_states
     a_s = np.ones(n)
     a_f = np.zeros(n)
-    live = ~profile.zero_mask & ~profile.degenerate_mask
-    ratios = profile.c_min / profile.c[live]
-    a_s[live] = ratios
-    a_f[live] = np.sqrt(np.clip(1.0 - ratios ** 2, 0.0, None))
     # Entries degenerate with c_min keep the exact fixed point (1, 0).
+    scaled = ~profile.degenerate_mask
+    ratios = profile.c_min / profile.c[scaled]
+    a_s[scaled] = ratios
+    a_f[scaled] = np.sqrt(np.clip(1.0 - ratios ** 2, 0.0, None))
     return SeparationOperators(a_success_diag=_frozen(a_s), a_failure_diag=_frozen(a_f))
 
 
 def failure_profile(profile: CoefficientProfile) -> FailureProfile:
     """Coefficients of the failure states under the identity failure gauge.
 
-    Raises FullSeparation when 1 - p_s < 1e-15 (empty failure branch). The
-    vacuum-degenerate profile passes through with p_s = 0 and b = c, its
-    continuity limit.
+    Raises FullSeparation when 1 - p_s < 1e-15, or when every coefficient
+    lies in the degeneracy band of c_min (empty failure branch). The vacuum
+    alphabet passes through with p_s = 0 and b = c.
     """
     p_s = ud_success(profile)
     if 1.0 - p_s < FULL_SEPARATION_EPS:
         raise FullSeparation(f"separation succeeds with probability {p_s}; "
                              "no failure states exist")
     n = profile.n_states
-    live = int(np.count_nonzero(~profile.zero_mask))
-    if not profile.degenerate and profile.multiplicity == live:
-        # Every live coefficient sits in the degeneracy band of c_min, so the
+    if profile.multiplicity == n:
+        # Every coefficient sits in the degeneracy band of c_min, so the
         # declared failure space has dimension zero even though p_s has not
         # numerically reached 1 (large alphabets near orthogonality).
-        raise FullSeparation(f"all {live} live coefficients are degenerate "
+        raise FullSeparation(f"all {n} live coefficients are degenerate "
                              f"with c_min; failure space is empty (p_s={p_s})")
-    if profile.degenerate:
-        b = profile.c.copy()
-    else:
-        # Clamp before the square root: rounding can land c_j^2 - p_s/N near
-        # -1e-17 on entries that are analytically zero.
-        raw = (profile.c_sq - p_s / n) / (1.0 - p_s)
-        raw[profile.degenerate_mask] = 0.0
-        b = np.sqrt(np.clip(raw, 0.0, None))
+    # Clamp before the square root: rounding can land c_j^2 - p_s/N near
+    # -1e-17 on entries that are analytically zero.
+    raw = (profile.c_sq - p_s / n) / (1.0 - p_s)
+    raw[profile.degenerate_mask] = 0.0
+    b = np.sqrt(np.clip(raw, 0.0, None))
     return FailureProfile(b=_frozen(b), p_s=p_s,
                           failure_dim=n - profile.multiplicity)
 
@@ -232,8 +226,14 @@ def joint_distribution(spec: EnsembleSpec) -> JointDistribution:
     profile = coefficients(spec)
     if profile.degenerate:
         raise DegenerateEnsemble("joint distribution undefined for a single-state alphabet")
+    return _joint(profile, _failure_or_none(profile))
+
+
+def _joint(profile: CoefficientProfile,
+           fail: FailureProfile | None) -> JointDistribution:
+    """joint_distribution from a non-degenerate coefficient profile and its
+    failure profile (None when the failure branch is empty)."""
     n = profile.n_states
-    fail = _failure_or_none(profile)
     if fail is None:
         # The declared failure branch is empty, so the success block carries
         # its limit weight 1 and the columns stay normalized.

@@ -19,15 +19,13 @@ from scipy import special
 
 from .errors import CutoffOverflow, DomainError
 
-# The package's one tolerance policy; coefficients() documents how each applies.
-ZERO_THRESHOLD = 1e-12
+# The degeneracy band; coefficients() documents how it applies.
 DEGENERACY_TOL = 1e-9
 DEFAULT_FOCK_CAP = 4096
 FOCK_CAP_ENV = "CVDISC_HARD_CUTOFF"
-
-# Residue tolerance: the coefficient sums are real analytically, so a large
-# imaginary part signals a broken complex evaluation rather than roundoff.
-_IMAG_RESIDUE_TOL = 1e-10
+# coefficients() sums ~24 * sqrt(alpha^2) terms; alphabets with N up to
+# ~5000 separate fully (1 - p_s < 1e-15) below this bound.
+MAX_ALPHA_SQ = 1e8
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -53,6 +51,8 @@ class EnsembleSpec:
             raise DomainError(f"alpha_sq must be a real number, got {self.alpha_sq!r}") from exc
         if not math.isfinite(a2) or a2 < 0.0:
             raise DomainError(f"alpha_sq must be finite and >= 0, got {a2}")
+        if a2 > MAX_ALPHA_SQ:
+            raise DomainError(f"alpha_sq must be <= {MAX_ALPHA_SQ:g}, got {a2}")
         object.__setattr__(self, "n_states", int(self.n_states))
         object.__setattr__(self, "alpha_sq", a2)
 
@@ -62,20 +62,20 @@ class CoefficientProfile:
     """Amplitude coefficients of the alphabet over the symmetric basis.
 
     c_sq[j] is the squared coefficient of basis vector j (a probability),
-    c[j] its nonnegative square root. c_min is the smallest coefficient among
-    entries not flagged by zero_mask; multiplicity counts the non-masked
-    entries whose c_sq lies within the degeneracy band of c_min**2
-    (degenerate_mask marks them). degenerate is set when only one entry
-    survives the zero mask (all states coincide, e.g. the vacuum alphabet);
-    near_band_edge warns that some gap sits within a factor of 10 of the
-    degeneracy band, where the multiplicity count is resolution-limited.
+    c[j] its nonnegative square root. c_min is the smallest coefficient, 0
+    when an entry underflows (the vacuum alphabet, or tiny alpha^2 at large
+    N); multiplicity counts the entries whose c_sq lies within the
+    degeneracy band of c_min**2 (degenerate_mask marks them). degenerate is
+    set when exactly one c_sq is nonzero (all states coincide: the vacuum
+    alphabet); near_band_edge warns that some gap sits within a factor of 10
+    of the degeneracy band, where the multiplicity count is
+    resolution-limited.
     """
 
     c_sq: np.ndarray
     c: np.ndarray
     c_min: float
     multiplicity: int
-    zero_mask: np.ndarray
     degenerate_mask: np.ndarray
     degenerate: bool
     near_band_edge: bool
@@ -106,52 +106,41 @@ class BasisAmplitudes:
 def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
     """Evaluate the squared coefficients and classify the minimum.
 
-    c_j^2 = (1/N) * sum_l w^(-j*l) * exp(alpha^2 * (w^l - 1)): the Gram
-    matrix is circulant, so the N sums are one FFT of its first row. Entries
-    with c_j^2 below ZERO_THRESHOLD are masked as zero and excluded from the
-    c_min search; non-masked entries within DEGENERACY_TOL *
-    max(c_min^2, 1e-300) of c_min^2 count toward the multiplicity.
+    c_j^2 is the Poisson weight e^(-alpha^2) alpha^(2k)/k! summed over
+    k = j (mod N): running products outward from the mode, over the N terms
+    around it and 12*sqrt(alpha^2) + 40 more on each side, normalised by
+    their total. Every term is positive, so each entry keeps full relative
+    precision down to underflow; np.longdouble, where it is wider than a
+    double, makes the entries correctly rounded. Entries within
+    DEGENERACY_TOL * max(c_min^2, 1e-300) of c_min^2 count toward the
+    multiplicity.
     """
     n = spec.n_states
-    w_ell = np.exp(2j * np.pi * np.arange(n) / n)
-    sums = np.fft.fft(np.exp(spec.alpha_sq * (w_ell - 1.0))) / n
+    a2 = np.longdouble(spec.alpha_sq)
+    mode = math.floor(spec.alpha_sq)
+    half = n + math.ceil(12.0 * math.sqrt(spec.alpha_sq)) + 40
+    low = max(0, mode - half) // n * n
+    high = -(-(mode + half + 1) // n) * n
+    up = np.cumprod(a2 / np.arange(mode + 1, high, dtype=np.longdouble))
+    down = np.cumprod(np.arange(mode, low, -1, dtype=np.longdouble) / a2)
+    weights = np.concatenate((down[::-1], [np.longdouble(1.0)], up))
+    sums = weights.reshape(-1, n).sum(axis=0)    # row p holds k = low + p*N + j
+    c_sq = (sums / sums.sum()).astype(float)
 
-    residue = float(np.max(np.abs(sums.imag)))
-    if residue >= _IMAG_RESIDUE_TOL:
-        raise DomainError(f"imaginary residue {residue:.3e} in coefficient sums "
-                          f"(n_states={n}, alpha_sq={spec.alpha_sq})")
-    c_sq = sums.real
-    if np.any(c_sq < -1e-12):
-        raise DomainError(f"coefficient sum fell below -1e-12: min {c_sq.min():.3e}")
-    c_sq = np.clip(c_sq, 0.0, None)
-
-    zero_mask = c_sq < ZERO_THRESHOLD
-    live = ~zero_mask
-    if not live.any():
-        # Unreachable for a valid spec (the c_sq sum to 1) but kept as a guard.
-        raise DomainError("all coefficients are zero-masked")
-
-    # Masked entries are declared zero, not merely small: without this the
-    # square root turns 1e-16 sum noise into 1e-8 amplitudes, visible in
-    # every (sum_j c_j)^2 quantity near the vacuum.
-    c_sq = np.where(zero_mask, 0.0, c_sq)
     c = np.sqrt(c_sq)
-    c_min_sq = float(c_sq[live].min())
+    c_min_sq = float(c_sq.min())
     band = DEGENERACY_TOL * max(c_min_sq, 1e-300)
     gaps = c_sq - c_min_sq
-    degenerate_mask = live & (gaps <= band)
-    multiplicity = int(degenerate_mask.sum())
-    near_band_edge = bool(np.any(live & (gaps >= band / 10.0) & (gaps <= band * 10.0)))
-    degenerate = int(live.sum()) == 1
+    degenerate_mask = gaps <= band
+    near_band_edge = bool(np.any((gaps >= band / 10.0) & (gaps <= band * 10.0)))
 
     return CoefficientProfile(
         c_sq=_frozen(c_sq),
         c=_frozen(c),
         c_min=math.sqrt(c_min_sq),
-        multiplicity=multiplicity,
-        zero_mask=_frozen(zero_mask),
+        multiplicity=int(degenerate_mask.sum()),
         degenerate_mask=_frozen(degenerate_mask),
-        degenerate=degenerate,
+        degenerate=int(np.count_nonzero(c_sq)) == 1,
         near_band_edge=near_band_edge,
     )
 
@@ -184,7 +173,7 @@ def _fock_cap() -> int:
 
 def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     """Fock amplitudes <n|phi_j> = exp(-alpha^2/2) * alpha^n / (c_j * sqrt(n!))
-    on the ladder n = j + p*N, for every non-masked j (masked rows are zero).
+    on the ladder n = j + p*N. A row whose c_j underflows to 0 stays zero.
 
     The cutoff is the smallest n_max >= N-1 whose Poisson tail mass is below
     tail_eps. Amplitudes are computed in log space; n_max can reach hundreds
@@ -212,7 +201,7 @@ def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     log_alpha = 0.5 * math.log(a2) if a2 > 0 else -math.inf
     amps = np.zeros((n, n_max + 1))
     for j in range(n):
-        if profile.zero_mask[j]:
+        if profile.c[j] == 0.0:
             continue
         ns = np.arange(j, n_max + 1, n)
         with np.errstate(invalid="ignore"):

@@ -8,13 +8,13 @@ class CvdiscError(Exception):
 
 
 class DomainError(CvdiscError):
-    """Invalid argument or a numerically broken evaluation (e.g. a finite sum
-    whose imaginary residue exceeds tolerance)."""
+    """Invalid argument: outside the accepted range, or of the wrong type."""
 
 
 class DegenerateEnsemble(CvdiscError):
-    """All alphabet states coincide (vacuum, or every coefficient but one is
-    zero-masked); the requested quantity is undefined for such an ensemble."""
+    """All alphabet states coincide: exactly one coefficient is nonzero, as
+    for the vacuum alphabet. The requested quantity is undefined for such an
+    ensemble."""
 
 
 class CutoffOverflow(CvdiscError):

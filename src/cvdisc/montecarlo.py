@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrim import joint_distribution, ud_success
+from .discrim import JointDistribution, _failure_or_none, _joint, ud_success
 from .ensemble import EnsembleSpec, _frozen, coefficients
 from .errors import DegenerateEnsemble, DomainError
 
@@ -54,7 +54,8 @@ class MCResult:
     given branch (index 0 success, 1 failure); empirical_joint is exactly
     counts/shots. empirical_confidence_failure is the fraction of
     failure-branch shots whose outcome matched the preparation (NaN when the
-    failure branch never fired). rng_algorithm records the generator used.
+    failure branch never fired). joint is the analytic joint distribution
+    sampled. rng_algorithm records the generator used.
     """
 
     counts: np.ndarray
@@ -63,6 +64,7 @@ class MCResult:
     empirical_confidence_failure: float
     shots: int
     seed: int
+    joint: JointDistribution
     rng_algorithm: str = RNG_ALGORITHM
 
 
@@ -82,7 +84,7 @@ def simulate(config: MCConfig) -> MCResult:
         raise DegenerateEnsemble("simulation undefined for a single-state alphabet")
     n = spec.n_states
     p_s = ud_success(profile)
-    joint = joint_distribution(spec)
+    joint = _joint(profile, _failure_or_none(profile))
 
     # Per-preparation cumulative distributions over failure outcomes.
     cdfs = np.empty((n, n))
@@ -117,4 +119,5 @@ def simulate(config: MCConfig) -> MCResult:
         empirical_confidence_failure=conf_fail,
         shots=config.shots,
         seed=config.seed,
+        joint=joint,
     )

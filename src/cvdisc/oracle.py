@@ -10,7 +10,8 @@ takes the coefficients, the separation Kraus diagonals and the failure
 profile from ensemble and discrim. Agreement between the two paths therefore
 checks the assembly, the trace-derived probabilities and the Helstrom
 certificates against the closed forms in discrim, not the choice of
-separation; the acceptance tests check that against the Gram matrix.
+separation; the acceptance tests check that against the Gram matrix. The
+Fock-basis checks allow for the measured truncation of each basis row.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ def build_workspace(spec: EnsembleSpec,
     basis 'fock' reconstructs everything in a truncated Fock space whose
     cutoff is controlled by tail_eps. Construction raises
     CertificationFailure if any projector fails positive semidefiniteness or
-    either completeness relation misses the span projector by more than 1e-10.
+    either completeness relation misses the span projector by more than 1e-10,
+    plus, for the two-stage chain, 2 * max_j(1 - |phi_j|^2): truncation
+    shortens each Fock row, and the chain sees that once per Kraus factor.
     """
     if basis not in ("phi", "fock"):
         raise DomainError(f"basis must be 'phi' or 'fock', got {basis!r}")
@@ -138,11 +141,13 @@ def build_workspace(spec: EnsembleSpec,
         pi_success=_frozen(pi_success), pi_failure=_frozen(pi_failure),
         span_projector=_frozen(span), tail_mass=tail_mass,
     )
-    _check_construction(ws)
+    # Rows of underflowed coefficients are zero and span nothing.
+    norms = np.sum(np.abs(phi_rows) ** 2, axis=1)
+    _check_construction(ws, float(np.max(1.0 - norms[norms > 0.0], initial=0.0)))
     return ws
 
 
-def _check_construction(ws: MatrixWorkspace) -> None:
+def _check_construction(ws: MatrixWorkspace, norm_defect: float) -> None:
     for name, ops in (("med", ws.med_projectors),
                       ("success", ws.pi_success),
                       ("failure", ws.pi_failure)):
@@ -156,7 +161,8 @@ def _check_construction(ws: MatrixWorkspace) -> None:
     if float(np.max(np.abs(med_sum - ws.span_projector))) > _COMPLETENESS_TOL:
         raise CertificationFailure("minimum-error projectors do not resolve the span")
     chain_sum = ws.pi_success.sum(axis=0) + ws.pi_failure.sum(axis=0)
-    if float(np.max(np.abs(chain_sum - ws.span_projector))) > _COMPLETENESS_TOL:
+    chain_tol = _COMPLETENESS_TOL + 2.0 * norm_defect
+    if float(np.max(np.abs(chain_sum - ws.span_projector))) > chain_tol:
         raise CertificationFailure("two-stage POVM does not resolve the span")
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cvdisc import ensemble
+from cvdisc import discrim, ensemble
 from cvdisc.analytic3 import KINK_PERIOD
 from cvdisc.cli import CSV_HEADER, main
 
@@ -25,11 +25,10 @@ def parse_report(out):
     return values
 
 
-def count_coefficient_calls(monkeypatch):
-    """Wrap every cvdisc module attribute bound to ensemble.coefficients and
+def count_calls(monkeypatch, original):
+    """Wrap every cvdisc module attribute bound to the function original and
     return the list that collects one entry per call."""
     calls = []
-    original = ensemble.coefficients
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -66,6 +65,8 @@ def test_report_vacuum(capsys):
     assert values["p_c_med"] == "0.333333333333"
     assert values["fidelity"] == "1"
     assert values["infidelity"] == "0"
+    # b = c = e_0 spans one dimension.
+    assert values["failure_dim"] == "1"
 
 
 def test_report_full_separation(capsys):
@@ -84,7 +85,7 @@ def test_report_larger_alphabet(capsys):
 
 
 def test_report_evaluates_coefficients_once(capsys, monkeypatch):
-    calls = count_coefficient_calls(monkeypatch)
+    calls = count_calls(monkeypatch, ensemble.coefficients)
     code, _, _ = run(capsys, "report", "--n", "5", "--alpha2", "1.5")
     assert code == 0
     assert len(calls) == 1
@@ -129,7 +130,7 @@ def test_sweep_deterministic_bytes(capsys, tmp_path):
 
 
 def test_sweep_evaluates_coefficients_once_per_point(capsys, monkeypatch, tmp_path):
-    calls = count_coefficient_calls(monkeypatch)
+    calls = count_calls(monkeypatch, ensemble.coefficients)
     code, _, _ = run(capsys, "sweep", "--n", "4", "--alpha2-min", "0.2",
                      "--alpha2-max", "3.0", "--steps", "7",
                      "--out", str(tmp_path / "once.csv"))
@@ -216,11 +217,29 @@ def test_mc_counts_csv(capsys, tmp_path):
 
 
 def test_mc_statistical_flag_exit_4(capsys):
-    # Seeded run whose lone success hit sits 22 sigma from a ~3e-6 cell.
-    code, out, err = run(capsys, "mc", "--n", "3", "--alpha2", "1e-6",
+    # Each success cell has probability p_s/3 = 4.5e-6, below
+    # 1/(36 * shots) = 1.4e-5, so a single hit in one lies beyond 6 sigma.
+    # Seed 131 is the first seed from 0 up whose run has a success hit.
+    code, out, err = run(capsys, "mc", "--n", "3", "--alpha2", "0.003",
                          "--shots", "2000", "--seed", "131")
     assert code == 4
     assert "6 sigma" in err
+    values = parse_report(out[out.index("empirical_p_s"):])
+    assert values["empirical_p_s"] == "0.0005"
+    assert float(values["analytic_p_s"]) < 3.0 / (36 * 2000)
+    assert float(values["max_abs_z"]) > 6.0
+
+
+def test_mc_reuses_the_sampled_joint(capsys, monkeypatch):
+    # simulate builds the joint from its one coefficient profile and returns
+    # it; only ir_report, for the analytic summary lines, evaluates another.
+    coefficient_calls = count_calls(monkeypatch, ensemble.coefficients)
+    joint_calls = count_calls(monkeypatch, discrim.joint_distribution)
+    code, _, _ = run(capsys, "mc", "--n", "3", "--alpha2", "1.0",
+                     "--shots", "1000", "--seed", "1")
+    assert code == 0
+    assert len(coefficient_calls) == 2
+    assert len(joint_calls) <= 1
 
 
 def test_mc_full_separation(capsys):
@@ -286,6 +305,21 @@ def test_verify_larger_alphabet(capsys):
     code, out, _ = run(capsys, "verify", "--n", "7", "--alpha2", "1.0")
     assert code == 0
     assert all(ln.startswith("PASS") for ln in out.splitlines() if ln)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "16", "--alpha2", "0.5"),
+    ("--n", "8", "--alpha2", "1"),
+    ("--n", "3", "--alpha2", "1", "--tail-eps", "1e-9"),
+])
+def test_verify_passes_where_coefficients_or_rows_are_small(capsys, argv):
+    # (16, 0.5) has c_15^2 ~ 1e-17; (8, 1) truncates phi_7 more than the
+    # global tail; --tail-eps 1e-9 truncates every row more than 1e-10.
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 0, err
+    lines = [ln for ln in out.splitlines() if ln]
+    assert len(lines) == 4
+    assert all(ln.startswith("PASS") for ln in lines)
 
 
 def test_verify_vacuum_exit_2(capsys):

@@ -45,7 +45,7 @@ REPORT_3_08 = {
 
 
 def synthetic_profile(c_sq, degenerate_with_min=None):
-    """Build a profile directly from squared coefficients, nothing masked."""
+    """Build a profile directly from squared coefficients."""
     c_sq = np.asarray(c_sq, dtype=float)
     n = c_sq.shape[0]
     c = np.sqrt(c_sq)
@@ -54,8 +54,7 @@ def synthetic_profile(c_sq, degenerate_with_min=None):
         deg[list(degenerate_with_min)] = True
     return CoefficientProfile(
         c_sq=c_sq, c=c, c_min=float(c.min()), multiplicity=int(max(deg.sum(), 1)),
-        zero_mask=np.zeros(n, dtype=bool), degenerate_mask=deg,
-        degenerate=False, near_band_edge=False)
+        degenerate_mask=deg, degenerate=False, near_band_edge=False)
 
 
 # --- helstrom_med / ud_success ---------------------------------------------
@@ -102,10 +101,14 @@ def test_separation_diagonals_3_1():
     assert sep.a_failure_diag[j_min] == 0.0
 
 
-def test_separation_masked_entries_act_as_identity():
+def test_separation_small_amplitude_scales_every_entry():
+    # At alpha^2 = 1e-8 the minimum c_2^2 ~ 5e-17 is resolved, so the
+    # success action scales every entry by c_min/c_j, as at any amplitude.
     profile = coefficients(EnsembleSpec(3, 1e-8))
     sep = separation_operators(profile)
-    assert profile.zero_mask[2]
+    assert int(np.argmin(profile.c_sq)) == 2
+    np.testing.assert_allclose(sep.a_success_diag, profile.c_min / profile.c,
+                               rtol=1e-15, atol=0)
     assert sep.a_success_diag[2] == 1.0
     assert sep.a_failure_diag[2] == 0.0
 
@@ -146,17 +149,11 @@ def test_failure_profile_two_states():
 
 
 def test_failure_profile_small_ps_limit():
-    # b -> c as p_s -> 0. Uses series-exact block sums: at alpha^2 = 1e-8 the
-    # smallest coefficient (~5e-17) is below both the default zero threshold
-    # and the resolution of the circulant sum, yet it is the entry that sets
-    # the size of max|b - c| = c_min.
-    n, a2 = 3, 1e-8
-    c_sq = np.array([
-        sum(math.exp(-a2 + (j + n * p) * math.log(a2) - math.lgamma(j + n * p + 1))
-            for p in range(40))
-        for j in range(n)])
-    profile = synthetic_profile(c_sq, degenerate_with_min=[int(np.argmin(c_sq))])
+    # b -> c as p_s -> 0. At alpha^2 = 1e-8 the smallest coefficient (~5e-17)
+    # is the entry that sets the size of max|b - c| = c_min.
+    profile = coefficients(EnsembleSpec(3, 1e-8))
     fail = failure_profile(profile)
+    assert fail.b[2] == 0.0
     assert np.max(np.abs(fail.b - profile.c)) < 1e-6
 
 

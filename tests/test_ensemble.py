@@ -42,7 +42,7 @@ def test_spec_rejects_bad_n(n_states):
         EnsembleSpec(n_states, 1.0)
 
 
-@pytest.mark.parametrize("alpha_sq", [-1.0, -1e-12, math.inf, math.nan, "x"])
+@pytest.mark.parametrize("alpha_sq", [-1.0, -1e-12, math.inf, math.nan, "x", 1.0000001e8])
 def test_spec_rejects_bad_alpha_sq(alpha_sq):
     with pytest.raises(DomainError):
         EnsembleSpec(3, alpha_sq)
@@ -61,10 +61,11 @@ def test_vacuum_profile_is_exact():
     profile = coefficients(EnsembleSpec(3, 0.0))
     assert profile.c_sq.tolist() == [1.0, 0.0, 0.0]
     assert profile.c.tolist() == [1.0, 0.0, 0.0]
-    assert profile.c_min == 1.0
-    assert profile.multiplicity == 1
+    # Only c_0 is nonzero: c_min is 0, shared by the other N - 1 entries.
+    assert profile.c_min == 0.0
+    assert profile.multiplicity == 2
+    assert profile.degenerate_mask.tolist() == [False, True, True]
     assert profile.degenerate
-    assert profile.zero_mask.tolist() == [False, True, True]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -72,6 +73,7 @@ def test_vacuum_profile_any_n(n):
     profile = coefficients(EnsembleSpec(n, 0.0))
     assert profile.c_sq[0] == 1.0
     assert not profile.c_sq[1:].any()
+    assert profile.multiplicity == n - 1
     assert profile.degenerate
 
 
@@ -80,7 +82,6 @@ def test_frozen_values_3_1():
     np.testing.assert_allclose(profile.c_sq, C_SQ_3_1, rtol=0, atol=1e-12)
     assert profile.multiplicity == 1
     assert not profile.degenerate
-    assert not profile.zero_mask.any()
 
 
 @pytest.mark.parametrize("n,alpha_sq", [
@@ -122,12 +123,17 @@ def test_near_band_edge_flag():
     assert not coefficients(EnsembleSpec(3, 1.0)).near_band_edge
 
 
-def test_zero_mask_small_amplitude():
-    profile = coefficients(EnsembleSpec(3, 1e-8))
-    assert profile.zero_mask.tolist() == [False, False, True]
-    # Masked entries are exactly zero, not residual sum noise.
-    assert profile.c_sq[2] == 0.0
-    assert profile.c[2] == 0.0
+def test_small_amplitude_entry_is_resolved():
+    # c_2^2 ~ 5e-17 sits far below the resolution of a Fourier sum of O(1)
+    # terms; the Poisson fold still gives it to full relative precision.
+    a2 = 1e-8
+    profile = coefficients(EnsembleSpec(3, a2))
+    expect = math.exp(-a2) * (a2 ** 2 / 2 + a2 ** 5 / 120 + a2 ** 8 / 40320)
+    assert profile.c_sq[2] > 0.0
+    assert profile.c_sq[2] == pytest.approx(expect, rel=1e-14, abs=0.0)
+    assert profile.c_min == math.sqrt(profile.c_sq[2])
+    assert profile.multiplicity == 1
+    assert not profile.degenerate
 
 
 def test_profile_arrays_are_immutable():
