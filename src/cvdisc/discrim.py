@@ -5,7 +5,7 @@ states), optimal unambiguous discrimination via a two-outcome separation map,
 the structure of the normalized failure states, and the recycled strategy
 that follows a failed separation with a minimum-error measurement on the
 failure set. All quantities are closed-form in the coefficient profile; the
-oracle module re-derives them from explicit matrices.
+oracle module re-derives them from explicit states and measurement vectors.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from .ensemble import EnsembleSpec, _frozen, coefficients
 from .errors import DegenerateEnsemble, DomainError
 
 RNG_ALGORITHM = "numpy-pcg64"
-DEFAULT_SHOT_CAP = 10 ** 9
+SHOT_CAP = 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,14 @@ class MCConfig:
     spec: EnsembleSpec
     shots: int
     seed: int
-    shot_cap: int = DEFAULT_SHOT_CAP
 
     def __post_init__(self) -> None:
         if isinstance(self.shots, bool) or not isinstance(self.shots, (int, np.integer)):
             raise DomainError(f"shots must be an integer, got {self.shots!r}")
         if self.shots < 1:
             raise DomainError(f"shots must be >= 1, got {self.shots}")
-        if self.shots > self.shot_cap:
-            raise DomainError(f"shots {self.shots} exceeds cap {self.shot_cap}")
+        if self.shots > SHOT_CAP:
+            raise DomainError(f"shots {self.shots} exceeds cap {SHOT_CAP}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise DomainError(f"seed must be an integer, got {self.seed!r}")
         if not (0 <= self.seed < 2 ** 64):

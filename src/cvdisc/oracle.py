@@ -1,17 +1,21 @@
 """Brute-force verification layer.
 
-Rebuilds every state and measurement operator of the discrimination chain as
-explicit vectors and matrices, either in the N-dimensional symmetric basis or
-in a truncated Fock space, re-derives all probabilities from traces, and
-certifies minimum-error optimality through the standard Helstrom conditions
-(Gamma = (1/N) * sum_k Pi_k rho_k Hermitian and Gamma - rho_k/N positive
-semidefinite). The separation model itself is not rebuilt: build_workspace
-takes the coefficients, the separation Kraus diagonals and the failure
-profile from ensemble and discrim. Agreement between the two paths therefore
-checks the assembly, the trace-derived probabilities and the Helstrom
-certificates against the closed forms in discrim, not the choice of
-separation; the acceptance tests check that against the Gram matrix. The
-Fock-basis checks allow for the measured truncation of each basis row.
+Rebuilds every state of the discrimination chain as an explicit vector,
+either in the N-dimensional symmetric basis or in a truncated Fock space.
+Every measurement element of the chain is rank one: the minimum-error
+projectors are |u_k><u_k|, and the separation Kraus operator A conjugates
+them into |A^dagger u_k><A^dagger u_k|. The workspace therefore stores each
+element as its vector, re-derives all probabilities as tr(Pi rho) =
+|<v|psi>|^2, and certifies minimum-error optimality through the standard
+Helstrom conditions (Gamma = (1/N) * sum_k Pi_k rho_k Hermitian and
+Gamma - rho_k/N positive semidefinite). The separation model itself is not
+rebuilt: build_workspace takes the coefficients, the separation Kraus
+diagonals and the failure profile from ensemble and discrim. Agreement
+between the two paths therefore checks the assembly, the trace-derived
+probabilities and the Helstrom certificates against the closed forms in
+discrim, not the choice of separation; the acceptance tests check that
+against the Gram matrix. The Fock-basis checks allow for the measured
+truncation of each basis row.
 """
 
 from __future__ import annotations
@@ -34,18 +38,19 @@ HERMITICITY_TOL = 1e-10
 # for the dimensions used here.
 EIGENVALUE_TOL = 1e-9
 _COMPLETENESS_TOL = 1e-10
-_PSD_CONSTRUCTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class MatrixWorkspace:
-    """Explicit vector/matrix assembly of one alphabet's measurement chain.
+    """Explicit vector assembly of one alphabet's measurement chain.
 
-    State arrays hold one state per row. med_projectors[k] projects onto the
-    symmetric orthogonal vector u_k; pi_success[j]/pi_failure[j] are the
-    POVM elements of the two-stage chain (separation Kraus conjugated into
-    the minimum-error projectors). span_projector projects onto the span of
-    the symmetric basis vectors (the identity when the basis is 'phi').
+    State arrays hold one state per row, and so do the measurement vectors:
+    the minimum-error projector of outcome k is |u_k><u_k| with u_k =
+    u_states[k], and the two-stage chain's elements are |v_k><v_k| with v_k
+    = A^dagger u_k taken from success_vectors / failure_vectors, A being the
+    success or failure Kraus operator of the separation. span_projector
+    projects onto the span of the symmetric basis vectors (the identity when
+    the basis is 'phi').
     """
 
     basis: str
@@ -55,11 +60,8 @@ class MatrixWorkspace:
     alpha_states: np.ndarray
     u_states: np.ndarray
     beta_states: np.ndarray
-    med_projectors: np.ndarray
-    a_success: np.ndarray
-    a_failure: np.ndarray
-    pi_success: np.ndarray
-    pi_failure: np.ndarray
+    success_vectors: np.ndarray
+    failure_vectors: np.ndarray
     span_projector: np.ndarray
     tail_mass: float
 
@@ -94,15 +96,17 @@ class MedCertificate:
 def build_workspace(spec: EnsembleSpec,
                     basis: str = "phi",
                     tail_eps: float = 1e-14) -> MatrixWorkspace:
-    """Assemble all states and operators and verify structural invariants.
+    """Assemble all states and measurement vectors and check completeness.
 
     basis 'phi' works in the N-dimensional symmetric basis (exact, fast);
     basis 'fock' reconstructs everything in a truncated Fock space whose
-    cutoff is controlled by tail_eps. Construction raises
-    CertificationFailure if any projector fails positive semidefiniteness or
-    either completeness relation misses the span projector by more than 1e-10,
+    cutoff is controlled by tail_eps, and applies Kraus operators built in
+    that space. Construction raises CertificationFailure if either
+    completeness relation misses the span projector by more than 1e-10,
     plus, for the two-stage chain, 2 * max_j(1 - |phi_j|^2): truncation
     shortens each Fock row, and the chain sees that once per Kraus factor.
+    Every element is |v><v| for a stored vector v, so it is positive
+    semidefinite by construction.
     """
     if basis not in ("phi", "fock"):
         raise DomainError(f"basis must be 'phi' or 'fock', got {basis!r}")
@@ -126,19 +130,17 @@ def build_workspace(spec: EnsembleSpec,
     u_states = phases @ phi_rows / np.sqrt(n)
     beta_states = (phases * fail.b) @ phi_rows
 
-    med = np.einsum("ki,kj->kij", u_states, u_states.conj())
+    # Row k of u_states @ A.conj() is (A^dagger u_k)^T.
     a_success = (phi_rows.T * sep.a_success_diag) @ phi_rows.conj()
     a_failure = (phi_rows.T * sep.a_failure_diag) @ phi_rows.conj()
-    pi_success = np.einsum("ab,kbc,cd->kad", a_success.conj().T, med, a_success)
-    pi_failure = np.einsum("ab,kbc,cd->kad", a_failure.conj().T, med, a_failure)
     span = phi_rows.T @ phi_rows.conj()
 
     ws = MatrixWorkspace(
         basis=basis, n_states=n, alpha_sq=spec.alpha_sq, dimension=dim,
         alpha_states=_frozen(alpha_states), u_states=_frozen(u_states),
-        beta_states=_frozen(beta_states), med_projectors=_frozen(med),
-        a_success=_frozen(a_success), a_failure=_frozen(a_failure),
-        pi_success=_frozen(pi_success), pi_failure=_frozen(pi_failure),
+        beta_states=_frozen(beta_states),
+        success_vectors=_frozen(u_states @ a_success.conj()),
+        failure_vectors=_frozen(u_states @ a_failure.conj()),
         span_projector=_frozen(span), tail_mass=tail_mass,
     )
     # Rows of underflowed coefficients are zero and span nothing.
@@ -147,55 +149,45 @@ def build_workspace(spec: EnsembleSpec,
     return ws
 
 
+def _element_sum(vectors: np.ndarray) -> np.ndarray:
+    """sum_k |v_k><v_k| over the rows v_k of vectors."""
+    return vectors.T @ vectors.conj()
+
+
 def _check_construction(ws: MatrixWorkspace, norm_defect: float) -> None:
-    for name, ops in (("med", ws.med_projectors),
-                      ("success", ws.pi_success),
-                      ("failure", ws.pi_failure)):
-        for k, op in enumerate(ops):
-            low = float(np.linalg.eigvalsh((op + op.conj().T) / 2.0)[0])
-            if low < -_PSD_CONSTRUCTION_TOL:
-                raise CertificationFailure(
-                    f"{name} element {k} not PSD: eigenvalue {low:.3e}",
-                    worst_index=k, worst_eigenvalue=low)
-    med_sum = ws.med_projectors.sum(axis=0)
+    med_sum = _element_sum(ws.u_states)
     if float(np.max(np.abs(med_sum - ws.span_projector))) > _COMPLETENESS_TOL:
         raise CertificationFailure("minimum-error projectors do not resolve the span")
-    chain_sum = ws.pi_success.sum(axis=0) + ws.pi_failure.sum(axis=0)
+    chain_sum = _element_sum(ws.success_vectors) + _element_sum(ws.failure_vectors)
     chain_tol = _COMPLETENESS_TOL + 2.0 * norm_defect
     if float(np.max(np.abs(chain_sum - ws.span_projector))) > chain_tol:
         raise CertificationFailure("two-stage POVM does not resolve the span")
 
 
-def _expectation(vec: np.ndarray, op: np.ndarray) -> float:
-    return float(np.real(vec.conj() @ op @ vec))
+def _traces(vectors: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """[k', k] = tr(|v_k'><v_k'| |psi_k><psi_k|) = |<v_k'|psi_k>|^2."""
+    return np.abs(vectors.conj() @ states.T) ** 2
 
 
 def brute_force_joint(ws: MatrixWorkspace) -> JointDistribution:
     """Conditional outcome probabilities from operator traces.
 
-    success[k'][k] = <alpha_k| pi_success[k'] |alpha_k> and likewise for the
-    failure block; no closed form is consulted.
+    success[k'][k] = tr(Pi_success[k'] |alpha_k><alpha_k|), which for the
+    rank-one element |v_k'><v_k'| is |<v_k'|alpha_k>|^2, and likewise for
+    the failure block; no closed form is consulted.
     """
-    n = ws.n_states
-    success = np.empty((n, n))
-    failure = np.empty((n, n))
-    for kp in range(n):
-        for k in range(n):
-            success[kp, k] = _expectation(ws.alpha_states[k], ws.pi_success[kp])
-            failure[kp, k] = _expectation(ws.alpha_states[k], ws.pi_failure[kp])
-    return JointDistribution(success=_frozen(np.clip(success, 0.0, None)),
-                             failure=_frozen(np.clip(failure, 0.0, None)))
+    return JointDistribution(
+        success=_frozen(_traces(ws.success_vectors, ws.alpha_states)),
+        failure=_frozen(_traces(ws.failure_vectors, ws.alpha_states)))
 
 
 def brute_force_probabilities(ws: MatrixWorkspace) -> DiscriminationReport:
-    """Re-derive every report field from explicit vectors and matrices."""
+    """Re-derive every report field from explicit vectors."""
     n = ws.n_states
     joint = brute_force_joint(ws)
 
-    p_c_med = float(np.mean([_expectation(ws.alpha_states[k], ws.med_projectors[k])
-                             for k in range(n)]))
-    p_c_med_beta = float(np.mean([_expectation(ws.beta_states[k], ws.med_projectors[k])
-                                  for k in range(n)]))
+    p_c_med = float(np.mean(np.diag(_traces(ws.u_states, ws.alpha_states))))
+    p_c_med_beta = float(np.mean(np.diag(_traces(ws.u_states, ws.beta_states))))
     p_s = float(joint.success.sum()) / n
     p_c_ir = float(np.trace(joint.success) + np.trace(joint.failure)) / n
     conf_success = float(np.trace(joint.success) / joint.success.sum())
@@ -214,28 +206,26 @@ def brute_force_probabilities(ws: MatrixWorkspace) -> DiscriminationReport:
     )
 
 
-def certify_helstrom(projectors: np.ndarray, states: np.ndarray,
+def certify_helstrom(vectors: np.ndarray, states: np.ndarray,
                      which: str = "custom") -> MedCertificate:
     """Helstrom optimality conditions for equiprobable pure states.
 
-    Builds Gamma = (1/N) * sum_k Pi_k |psi_k><psi_k| and checks that Gamma is
-    Hermitian within 1e-10 and that Gamma - |psi_k><psi_k|/N has no
-    eigenvalue below -1e-9 for any k. Projector and state counts must match.
+    The measurement is given by one vector per outcome, Pi_k = |v_k><v_k|.
+    Builds Gamma = (1/N) * sum_k Pi_k |psi_k><psi_k| and checks that Gamma
+    is Hermitian within 1e-10 and that Gamma - |psi_k><psi_k|/N has no
+    eigenvalue below -1e-9 for any k. Vector and state counts must match.
     """
     n = len(states)
-    if len(projectors) != n:
-        raise DomainError(f"{len(projectors)} projectors for {n} states")
-    rhos = [np.outer(s, s.conj()) for s in states]
-    gamma = sum(p @ r for p, r in zip(projectors, rhos)) / n
+    if len(vectors) != n:
+        raise DomainError(f"{len(vectors)} measurement vectors for {n} states")
+    overlaps = np.sum(vectors.conj() * states, axis=1)     # <v_k|psi_k>
+    gamma = (vectors.T * overlaps) @ states.conj() / n
     defect = float(np.max(np.abs(gamma - gamma.conj().T)))
     gamma_h = (gamma + gamma.conj().T) / 2.0
-    worst = np.inf
-    worst_k = -1
-    for k, rho in enumerate(rhos):
-        low = float(np.linalg.eigvalsh(gamma_h - rho / n)[0])
-        if low < worst:
-            worst = low
-            worst_k = k
+    rhos = states[:, :, None] * states.conj()[:, None, :]
+    lows = np.linalg.eigvalsh(gamma_h - rhos / n)[:, 0]
+    worst_k = int(np.argmin(lows))
+    worst = float(lows[worst_k])
     passed = defect < HERMITICITY_TOL and worst >= -EIGENVALUE_TOL
     return MedCertificate(which=which, passed=passed, hermiticity_defect=defect,
                           worst_eigenvalue=worst, worst_index=worst_k)
@@ -247,7 +237,7 @@ def certify_med_optimality(ws: MatrixWorkspace,
 
     'inputs' certifies them on the alphabet states, 'failure_states' on the
     normalized failure set (whose minimum-error measurement uses the same
-    projectors).
+    projectors, |u_k><u_k|).
     """
     if which == "inputs":
         states = ws.alpha_states
@@ -255,4 +245,4 @@ def certify_med_optimality(ws: MatrixWorkspace,
         states = ws.beta_states
     else:
         raise DomainError(f"which must be 'inputs' or 'failure_states', got {which!r}")
-    return certify_helstrom(ws.med_projectors, states, which=which)
+    return certify_helstrom(ws.u_states, states, which=which)

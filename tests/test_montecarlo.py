@@ -42,8 +42,9 @@ def test_rejects_bad_seed(seed):
 
 
 def test_rejects_shots_beyond_cap():
+    # Validation runs in __post_init__, before anything is allocated.
     with pytest.raises(DomainError):
-        MCConfig(spec=SPEC, shots=101, seed=1, shot_cap=100)
+        MCConfig(spec=SPEC, shots=10 ** 9 + 1, seed=1)
 
 
 def test_vacuum_raises():

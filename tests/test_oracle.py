@@ -1,5 +1,7 @@
 """Brute-force matrix oracle and Helstrom optimality certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from cvdisc import (
     ir_report,
     joint_distribution,
 )
+from cvdisc import oracle
 from cvdisc.ensemble import FOCK_CAP_ENV
 
 REPORT_FIELDS = ("p_s", "p_c_med", "p_c_med_beta", "p_c_ir", "fidelity",
@@ -75,11 +78,13 @@ def test_workspace_fock_cap_overflow(monkeypatch):
 # --- brute force vs closed form ------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-@pytest.mark.parametrize("alpha_sq", [0.5, 2.5])
-def test_brute_matches_closed_form(n, alpha_sq):
+@pytest.mark.parametrize(
+    "n,alpha_sq,basis",
+    [pytest.param(n, a, "phi", id=f"{a}-{n}") for a in (0.5, 2.5) for n in (3, 4, 5, 6)]
+    + [(48, 1.0, "phi"), (32, 1.0, "fock")])
+def test_brute_matches_closed_form(n, alpha_sq, basis):
     spec = EnsembleSpec(n, alpha_sq)
-    brute = brute_force_probabilities(build_workspace(spec))
+    brute = brute_force_probabilities(build_workspace(spec, basis=basis))
     assert max_field_gap(brute, ir_report(spec)) < 1e-9
 
 
@@ -133,8 +138,7 @@ def test_certificates_pass(which):
 def test_certificate_rejects_swapped_projectors():
     # A deliberately wrong measurement must fail the optimality conditions.
     ws = build_workspace(EnsembleSpec(3, 1.0))
-    swapped = np.array([ws.med_projectors[1], ws.med_projectors[0],
-                        ws.med_projectors[2]])
+    swapped = ws.u_states[[1, 0, 2]]
     cert = certify_helstrom(swapped, ws.alpha_states, which="swapped")
     assert not cert.passed
     assert cert.worst_eigenvalue < -1e-3
@@ -147,7 +151,7 @@ def test_certificate_rejects_swapped_projectors():
 def test_certificate_count_mismatch():
     ws = build_workspace(EnsembleSpec(3, 1.0))
     with pytest.raises(DomainError):
-        certify_helstrom(ws.med_projectors[:2], ws.alpha_states)
+        certify_helstrom(ws.u_states[:2], ws.alpha_states)
 
 
 def test_certify_which_validation():
@@ -164,7 +168,8 @@ def test_failure_povm_eigenvalues():
     ws = build_workspace(spec)
     from cvdisc import coefficients, separation_operators
     sep = separation_operators(coefficients(spec))
-    total_failure = ws.pi_failure.sum(axis=0)
+    f = ws.failure_vectors
+    total_failure = f.T @ f.conj()
     eigs = np.sort(np.linalg.eigvalsh(total_failure))
     np.testing.assert_allclose(eigs, np.sort(sep.a_failure_diag ** 2),
                                rtol=0, atol=1e-12)
@@ -172,13 +177,28 @@ def test_failure_povm_eigenvalues():
 
 def test_povm_completeness():
     ws = build_workspace(EnsembleSpec(5, 0.8))
-    total = ws.pi_success.sum(axis=0) + ws.pi_failure.sum(axis=0)
+    s, f, u = ws.success_vectors, ws.failure_vectors, ws.u_states
+    total = s.T @ s.conj() + f.T @ f.conj()
     np.testing.assert_allclose(total, ws.span_projector, rtol=0, atol=1e-10)
-    med_total = ws.med_projectors.sum(axis=0)
+    med_total = u.T @ u.conj()
     np.testing.assert_allclose(med_total, ws.span_projector, rtol=0, atol=1e-10)
 
 
 def test_workspace_arrays_immutable():
     ws = build_workspace(EnsembleSpec(3, 1.0))
     with pytest.raises(ValueError):
-        ws.med_projectors[0, 0, 0] = 1.0
+        ws.u_states[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("basis", ["phi", "fock"])
+def test_broken_separation_fails_chain_completeness(monkeypatch, basis):
+    # A failure Kraus diagonal 1e-8 too long breaks A_s'A_s + A_f'A_f = 1.
+    exact = oracle.separation_operators
+
+    def stretched(profile):
+        sep = exact(profile)
+        return dataclasses.replace(sep, a_failure_diag=sep.a_failure_diag * (1 + 1e-8))
+
+    monkeypatch.setattr(oracle, "separation_operators", stretched)
+    with pytest.raises(CertificationFailure, match="two-stage POVM"):
+        build_workspace(EnsembleSpec(4, 2.0), basis=basis)
