@@ -37,6 +37,8 @@ EXIT_CERTIFICATION = 5
 CSV_HEADER = ("alpha_sq,p_s,p_c_med,p_c_med_beta,p_c_ir,fidelity,infidelity,"
               "error_bound,i_ud,i_ir,gain,failure_dim")
 
+STEPS_CAP = 10 ** 6
+
 _REPORT_FIELDS = ("p_s", "p_c_med", "p_c_med_beta", "p_c_ir", "fidelity",
                   "infidelity", "error_bound", "confidence_success",
                   "confidence_failure")
@@ -58,8 +60,8 @@ class SweepRequest:
             raise DomainError("alpha2-max must exceed alpha2-min")
         if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
             raise DomainError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 2:
-            raise DomainError(f"steps must be >= 2, got {self.steps}")
+        if not 2 <= self.steps <= STEPS_CAP:
+            raise DomainError(f"steps must be in [2, {STEPS_CAP}], got {self.steps}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.alpha_sq_min, self.alpha_sq_max, self.steps)
@@ -158,9 +160,7 @@ def cmd_mc(n: int, alpha_sq: float, shots: int, seed: int,
 
     # Analytic probability of (prep k, outcome k', branch): uniform prior
     # over preparations times the conditional joint.
-    analytic = np.empty((n, n, 2))
-    analytic[:, :, 0] = result.joint.success.T / n
-    analytic[:, :, 1] = result.joint.failure.T / n
+    analytic = np.stack([result.joint.success.T, result.joint.failure.T], axis=-1) / n
 
     worst_z = 0.0
     print("prep outcome branch      count    empirical     analytic        z")

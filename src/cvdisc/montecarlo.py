@@ -1,10 +1,13 @@
 """Seeded simulator of the two-stage separate-then-recycle measurement chain.
 
-Each shot draws a uniformly random preparation, a success/failure branch with
-the analytic success probability, and on failure an outcome from the
-normalized failure row of the joint distribution. The generator is numpy's
-PCG64 (a published, seedable, splittable algorithm); results are fully
-deterministic functions of (seed, shots, alphabet).
+A run of S shots is summarised by its count tensor over (preparation,
+outcome, branch), and that tensor is drawn exactly rather than shot by shot:
+the preparation counts are multinomial(S, uniform), and given n_k shots of
+preparation k, its (outcome, branch) counts are multinomial(n_k, column k of
+the joint distribution). numpy samples each multinomial by conditional
+binomials (Davis, CSDA 16, 205 (1993)), so memory is O(N^2) and the cost
+does not grow with S. The generator is numpy's PCG64; results are
+deterministic functions of (seed, shots, alphabet) for a given numpy version.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrim import JointDistribution, _failure_or_none, _joint, ud_success
+from .discrim import JointDistribution, _failure_or_none, _joint
 from .ensemble import EnsembleSpec, _frozen, coefficients
 from .errors import DegenerateEnsemble, DomainError
 
-RNG_ALGORITHM = "numpy-pcg64"
+RNG_ALGORITHM = "numpy-pcg64-multinomial-v2"
 SHOT_CAP = 10 ** 9
 
 
@@ -50,11 +53,12 @@ class MCResult:
     """Count tensor and empirical estimates from one simulation run.
 
     counts[k][k'][branch] counts shots prepared as k with outcome k' on the
-    given branch (index 0 success, 1 failure); empirical_joint is exactly
-    counts/shots. empirical_confidence_failure is the fraction of
-    failure-branch shots whose outcome matched the preparation (NaN when the
-    failure branch never fired). joint is the analytic joint distribution
-    sampled. rng_algorithm records the generator used.
+    given branch (index 0 success, 1 failure) and sums to exactly shots;
+    empirical_joint is exactly counts/shots. empirical_confidence_failure is
+    the fraction of failure-branch shots whose outcome matched the
+    preparation (NaN when the failure branch never fired). joint is the
+    analytic joint distribution sampled. rng_algorithm names the generator
+    and the draw order.
     """
 
     counts: np.ndarray
@@ -68,45 +72,26 @@ class MCResult:
 
 
 def simulate(config: MCConfig) -> MCResult:
-    """Run the chain for config.shots shots.
+    """Draw the count tensor of config.shots shots of the chain.
 
-    Draw order contract (one stream, three fixed-length draws): preparations
-    via integers(0, N), branch uniforms via random(), failure-outcome
-    uniforms via random(). Failure outcomes come from inverse-CDF sampling of
-    the normalized failure columns, with the final cumulative cell forced to
-    exactly 1 so no draw can fall off the end. A fully separating alphabet
-    has a zero failure block and collapses to an all-success simulation.
+    Draw order contract (one stream, two calls): the preparation counts via
+    multinomial(shots, [1/N] * N), then all N rows at once via
+    multinomial(preps, cells), where row k of cells is column k of the joint
+    laid out as [outcome, branch] and normalised to sum to 1. A fully
+    separating alphabet has a zero failure block, so every shot succeeds.
     """
     spec = config.spec
     profile = coefficients(spec)
     if profile.degenerate:
         raise DegenerateEnsemble("simulation undefined for a single-state alphabet")
     n = spec.n_states
-    p_s = ud_success(profile)
     joint = _joint(profile, _failure_or_none(profile))
 
-    # Per-preparation cumulative distributions over failure outcomes.
-    cdfs = np.empty((n, n))
-    for k in range(n):
-        col = joint.failure[:, k]
-        total = float(col.sum())
-        cdfs[k] = np.cumsum(col) / total if total > 0.0 else 0.0
-        cdfs[k, -1] = 1.0
-
+    cells = np.stack([joint.success.T, joint.failure.T], axis=-1).reshape(n, 2 * n)
+    cells /= cells.sum(axis=1, keepdims=True)
     rng = np.random.default_rng(config.seed)
-    preps = rng.integers(0, n, size=config.shots)
-    branch_u = rng.random(config.shots)
-    outcome_u = rng.random(config.shots)
-
-    success = branch_u < p_s
-    outcomes = preps.copy()
-    for k in range(n):
-        mask = ~success & (preps == k)
-        if mask.any():
-            outcomes[mask] = np.searchsorted(cdfs[k], outcome_u[mask], side="right")
-
-    flat = (preps * n + outcomes) * 2 + (~success)
-    counts = np.bincount(flat, minlength=n * n * 2).reshape(n, n, 2)
+    preps = rng.multinomial(config.shots, np.full(n, 1.0 / n))
+    counts = rng.multinomial(preps, cells).reshape(n, n, 2)
 
     fail_counts = counts[:, :, 1]
     n_fail = int(fail_counts.sum())

@@ -1,6 +1,7 @@
 """Seeded Monte Carlo sampler of the two-stage measurement chain."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cvdisc import (
     ud_success,
     coefficients,
 )
+from cvdisc.montecarlo import SHOT_CAP
 
 SPEC = EnsembleSpec(3, 1.0)
 
@@ -61,7 +63,7 @@ def test_counts_bookkeeping():
     assert res.counts.sum() == 40000
     np.testing.assert_array_equal(res.empirical_joint, res.counts / 40000)
     assert res.empirical_p_s == res.counts[:, :, 0].sum() / 40000
-    assert res.rng_algorithm == "numpy-pcg64"
+    assert res.rng_algorithm == "numpy-pcg64-multinomial-v2"
     assert res.shots == 40000 and res.seed == 7
 
 
@@ -85,6 +87,19 @@ def test_confidence_failure_nan_when_branch_never_fires():
     assert res.counts[:, :, 1].sum() == 0
     assert math.isnan(res.empirical_confidence_failure)
     assert res.empirical_p_s == 1.0
+
+
+@pytest.mark.parametrize("shots", [10 ** 6, SHOT_CAP])
+def test_memory_does_not_grow_with_shots(shots):
+    # The count tensor is drawn directly, so no array has length shots.
+    tracemalloc.start()
+    try:
+        res = simulate(MCConfig(spec=EnsembleSpec(8, 2.0), shots=shots, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert res.counts.sum() == shots
 
 
 # --- statistics -----------------------------------------------------------------
