@@ -8,7 +8,6 @@ Carlo simulator, and a CLI front end.
 from .analytic3 import KINK_PERIOD, CubicSolution, kinks_n3, solve_n3
 from .discrim import (
     DiscriminationReport,
-    FailureProfile,
     JointDistribution,
     SeparationOperators,
     failure_med,
@@ -16,7 +15,6 @@ from .discrim import (
     helstrom_med,
     ir_report,
     joint_distribution,
-    overlap_alpha_beta,
     separation_operators,
     ud_success,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "DiscriminationReport",
     "DomainError",
     "EnsembleSpec",
-    "FailureProfile",
     "FullSeparation",
     "InfoReport",
     "JointDistribution",
@@ -92,7 +89,6 @@ __all__ = [
     "ir_report",
     "joint_distribution",
     "kinks_n3",
-    "overlap_alpha_beta",
     "separation_operators",
     "shannon_entropy",
     "simulate",

@@ -2,9 +2,10 @@
 closed-form solver, and oracle verification.
 
 Exit codes: 0 success, 2 argument/domain error, 3 I/O failure, 4 statistical
-flag (a Monte Carlo cell beyond 6 sigma), 5 certification failure. The
-CVDISC_HARD_CUTOFF environment variable overrides the Fock truncation cap
-(default 4096) used by Fock-basis verification.
+flag (a Monte Carlo cell beyond 6 sigma), 5 certification failure.
+
+report and sweep print views of one record per point: _point_values makes a
+single coefficients call and collects both reports from it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic3, discrim, infotheory, montecarlo, oracle
-from .ensemble import EnsembleSpec, coefficients
+from .ensemble import TAIL_EPS, EnsembleSpec, coefficients
 from .errors import (
     CertificationFailure,
     CutoffOverflow,
@@ -42,6 +43,8 @@ STEPS_CAP = 10 ** 6
 _REPORT_FIELDS = ("p_s", "p_c_med", "p_c_med_beta", "p_c_ir", "fidelity",
                   "infidelity", "error_bound", "confidence_success",
                   "confidence_failure")
+_REPORT_LINES = ("n_states", "alpha_sq", *_REPORT_FIELDS, "i_ud", "i_ir", "gain",
+                 "h_fail", "failure_dim", "full_separation")
 
 
 @dataclass(frozen=True)
@@ -87,54 +90,24 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _evaluate(n: int, alpha_sq: float):
-    """Coefficient profile, ir_report and info_report of one point, with the
-    coefficients and the failure profile computed once."""
-    profile = coefficients(EnsembleSpec(n, alpha_sq))
-    fail = discrim._failure_or_none(profile)
-    return profile, discrim._ir_report(profile, fail), infotheory._info_report(profile, fail)
-
-
 def _point_values(n: int, alpha_sq: float) -> dict[str, float | int]:
-    profile, rep, info = _evaluate(n, alpha_sq)
-    return {
-        "alpha_sq": alpha_sq,
-        "p_s": rep.p_s,
-        "p_c_med": rep.p_c_med,
-        "p_c_med_beta": rep.p_c_med_beta,
-        "p_c_ir": rep.p_c_ir,
-        "fidelity": rep.fidelity,
-        "infidelity": rep.infidelity,
-        "error_bound": rep.error_bound,
-        "i_ud": info.i_ud,
-        "i_ir": info.i_ir,
-        "gain": info.gain,
-        "failure_dim": n - profile.multiplicity,
-    }
+    """Every figure of one point, from a single coefficients call: the fields
+    of ir_report and info_report plus n_states, alpha_sq and failure_dim."""
+    profile = coefficients(EnsembleSpec(n, alpha_sq))
+    return {"n_states": n, "alpha_sq": alpha_sq,
+            **vars(discrim._ir_report(profile)),
+            **vars(infotheory._info_report(profile)),
+            "failure_dim": profile.failure_dim}
+
+
+def _cell(val: float | int, spec: str) -> str:
+    """An integer or flag as it is; any other figure formatted by spec."""
+    return str(val) if isinstance(val, int) else format(val, spec)
 
 
 def cmd_report(n: int, alpha_sq: float) -> int:
-    profile, rep, info = _evaluate(n, alpha_sq)
-    lines = [
-        f"n_states            = {n}",
-        f"alpha_sq            = {_g(alpha_sq)}",
-        f"p_s                 = {_g(rep.p_s)}",
-        f"p_c_med             = {_g(rep.p_c_med)}",
-        f"p_c_med_beta        = {_g(rep.p_c_med_beta)}",
-        f"p_c_ir              = {_g(rep.p_c_ir)}",
-        f"fidelity            = {_g(rep.fidelity)}",
-        f"infidelity          = {_g(rep.infidelity)}",
-        f"error_bound         = {_g(rep.error_bound)}",
-        f"confidence_success  = {_g(rep.confidence_success)}",
-        f"confidence_failure  = {_g(rep.confidence_failure)}",
-        f"i_ud                = {_g(info.i_ud)}",
-        f"i_ir                = {_g(info.i_ir)}",
-        f"gain                = {_g(info.gain)}",
-        f"h_fail              = {_g(info.h_fail)}",
-        f"failure_dim         = {n - profile.multiplicity}",
-        f"full_separation     = {rep.full_separation}",
-    ]
-    print("\n".join(lines))
+    values = _point_values(n, alpha_sq)
+    print("\n".join(f"{name:<20}= {_cell(values[name], '.12g')}" for name in _REPORT_LINES))
     return EXIT_OK
 
 
@@ -142,11 +115,7 @@ def cmd_sweep(request: SweepRequest, out_path: str) -> int:
     rows = [CSV_HEADER]
     for alpha_sq in request.grid():
         values = _point_values(request.n_states, float(alpha_sq))
-        cells = []
-        for col in CSV_HEADER.split(","):
-            val = values[col]
-            cells.append(str(val) if col == "failure_dim" else f"{val:.12e}")
-        rows.append(",".join(cells))
+        rows.append(",".join(_cell(values[col], ".12e") for col in CSV_HEADER.split(",")))
     _atomic_write(out_path, "\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -272,9 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvdisc",
         description="Discrimination numerics for phase-symmetric coherent-state "
-                    "alphabets: unambiguous separation with recycled failures.",
-        epilog="Environment: CVDISC_HARD_CUTOFF overrides the Fock truncation "
-               "cap (default 4096).")
+                    "alphabets: unambiguous separation with recycled failures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     rep = sub.add_parser("report", help="print all figures of merit for one point")
@@ -302,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n", type=int, required=True)
     ver.add_argument("--alpha2", type=_alpha_list, required=True,
                      help="comma-separated alpha^2 values")
-    ver.add_argument("--tail-eps", type=float, default=1e-12)
+    ver.add_argument("--tail-eps", type=float, default=TAIL_EPS)
 
     return parser
 

@@ -4,8 +4,10 @@ Covers minimum-error discrimination (the Helstrom optimum for symmetric pure
 states), optimal unambiguous discrimination via a two-outcome separation map,
 the structure of the normalized failure states, and the recycled strategy
 that follows a failed separation with a minimum-error measurement on the
-failure set. All quantities are closed-form in the coefficient profile; the
-oracle module re-derives them from explicit states and measurement vectors.
+failure set. All quantities are closed-form views of the coefficient profile,
+which carries p_s and the failure profile b and decides once whether the
+failure branch is empty; the oracle module re-derives them from explicit
+states and measurement vectors.
 """
 
 from __future__ import annotations
@@ -15,11 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import CoefficientProfile, EnsembleSpec, _frozen, coefficients
-from .errors import DegenerateEnsemble, DomainError, FullSeparation
-
-# Below this failure probability the failure branch is treated as empty.
-FULL_SEPARATION_EPS = 1e-15
+from .ensemble import CoefficientProfile, EnsembleSpec, _empty_branch, _frozen, coefficients
+from .errors import DegenerateEnsemble, FullSeparation
 
 
 @dataclass(frozen=True)
@@ -34,24 +33,6 @@ class SeparationOperators:
 
     a_success_diag: np.ndarray
     a_failure_diag: np.ndarray
-
-
-@dataclass(frozen=True)
-class FailureProfile:
-    """Coefficient vector b of the normalized failure states.
-
-    b[j] = sqrt((c_j^2 - p_s/N) / (1 - p_s)), clamped at zero and forced to
-    exactly zero on entries degenerate with c_min. failure_dim is
-    N - multiplicity, the dimension spanned by the failure set.
-    """
-
-    b: np.ndarray
-    p_s: float
-    failure_dim: int
-
-    @property
-    def n_states(self) -> int:
-        return self.b.shape[0]
 
 
 @dataclass(frozen=True)
@@ -103,7 +84,7 @@ def ud_success(profile: CoefficientProfile) -> float:
     It is 0 for the vacuum alphabet, where c_min = 0: identical states admit
     no unambiguous conclusion.
     """
-    return profile.n_states * profile.c_min ** 2
+    return profile.p_s
 
 
 def separation_operators(profile: CoefficientProfile) -> SeparationOperators:
@@ -121,45 +102,25 @@ def separation_operators(profile: CoefficientProfile) -> SeparationOperators:
     return SeparationOperators(a_success_diag=_frozen(a_s), a_failure_diag=_frozen(a_f))
 
 
-def failure_profile(profile: CoefficientProfile) -> FailureProfile:
-    """Coefficients of the failure states under the identity failure gauge.
+def failure_profile(profile: CoefficientProfile) -> CoefficientProfile:
+    """The profile itself, checked to have a non-empty failure branch.
 
-    Raises FullSeparation when 1 - p_s < 1e-15, or when every coefficient
-    lies in the degeneracy band of c_min (empty failure branch). The vacuum
-    alphabet passes through with p_s = 0 and b = c.
+    Raises FullSeparation, with the reason, when profile.b is None:
+    1 - p_s < 1e-15, or every coefficient lies in the degeneracy band of
+    c_min. The vacuum alphabet passes through with p_s = 0 and b = c.
     """
-    p_s = ud_success(profile)
-    if 1.0 - p_s < FULL_SEPARATION_EPS:
-        raise FullSeparation(f"separation succeeds with probability {p_s}; "
-                             "no failure states exist")
-    n = profile.n_states
-    if profile.multiplicity == n:
-        # Every coefficient sits in the degeneracy band of c_min, so the
-        # declared failure space has dimension zero even though p_s has not
-        # numerically reached 1 (large alphabets near orthogonality).
-        raise FullSeparation(f"all {n} live coefficients are degenerate "
-                             f"with c_min; failure space is empty (p_s={p_s})")
-    # Clamp before the square root: rounding can land c_j^2 - p_s/N near
-    # -1e-17 on entries that are analytically zero.
-    raw = (profile.c_sq - p_s / n) / (1.0 - p_s)
-    raw[profile.degenerate_mask] = 0.0
-    b = np.sqrt(np.clip(raw, 0.0, None))
-    return FailureProfile(b=_frozen(b), p_s=p_s,
-                          failure_dim=n - profile.multiplicity)
+    if profile.b is None:
+        raise FullSeparation(_empty_branch(profile.n_states, profile.p_s,
+                                           profile.multiplicity))
+    return profile
 
 
-def _failure_or_none(profile: CoefficientProfile) -> FailureProfile | None:
-    """failure_profile(profile), or None when the failure branch is empty."""
-    try:
-        return failure_profile(profile)
-    except FullSeparation:
-        return None
+def failure_med(profile: CoefficientProfile) -> float:
+    """Minimum-error correct probability (1/N)(sum_j b_j)^2 on the failure set.
 
-
-def failure_med(fail: FailureProfile) -> float:
-    """Minimum-error correct probability (1/N)(sum_j b_j)^2 on the failure set."""
-    n = fail.n_states
-    return float(fail.b.sum()) ** 2 / n
+    Raises FullSeparation when the failure branch is empty.
+    """
+    return float(failure_profile(profile).b.sum()) ** 2 / profile.n_states
 
 
 def _failure_spectrum(b: np.ndarray) -> np.ndarray:
@@ -181,26 +142,23 @@ def ir_report(spec: EnsembleSpec) -> DiscriminationReport:
     and its failure state, and 1 - F/p_c_med lower-bounds the failure-set
     error probability.
     """
-    profile = coefficients(spec)
-    return _ir_report(profile, _failure_or_none(profile))
+    return _ir_report(coefficients(spec))
 
 
-def _ir_report(profile: CoefficientProfile,
-               fail: FailureProfile | None) -> DiscriminationReport:
-    """ir_report from a coefficient profile and its failure profile (None
-    when the failure branch is empty)."""
+def _ir_report(profile: CoefficientProfile) -> DiscriminationReport:
+    """ir_report as a view of one coefficient profile."""
+    p_s = profile.p_s
     p_c_med = helstrom_med(profile)
-    if fail is None:
+    if profile.b is None:
         nan = math.nan
         return DiscriminationReport(
-            p_s=ud_success(profile), p_c_med=p_c_med, p_c_med_beta=nan, p_c_ir=1.0,
+            p_s=p_s, p_c_med=p_c_med, p_c_med_beta=nan, p_c_ir=1.0,
             fidelity=nan, infidelity=nan, error_bound=nan,
             confidence_success=1.0, confidence_failure=nan,
             full_separation=True)
-    p_s = fail.p_s
-    p_c_med_beta = failure_med(fail)
+    p_c_med_beta = failure_med(profile)
     p_c_ir = p_s + (1.0 - p_s) * p_c_med_beta
-    fidelity = float(profile.c @ fail.b) ** 2
+    fidelity = float(profile.c @ profile.b) ** 2
     return DiscriminationReport(
         p_s=p_s,
         p_c_med=p_c_med,
@@ -226,38 +184,21 @@ def joint_distribution(spec: EnsembleSpec) -> JointDistribution:
     profile = coefficients(spec)
     if profile.degenerate:
         raise DegenerateEnsemble("joint distribution undefined for a single-state alphabet")
-    return _joint(profile, _failure_or_none(profile))
+    return _joint(profile)
 
 
-def _joint(profile: CoefficientProfile,
-           fail: FailureProfile | None) -> JointDistribution:
-    """joint_distribution from a non-degenerate coefficient profile and its
-    failure profile (None when the failure branch is empty)."""
+def _joint(profile: CoefficientProfile) -> JointDistribution:
+    """joint_distribution as a view of one non-degenerate coefficient profile."""
     n = profile.n_states
-    if fail is None:
+    if profile.b is None:
         # The declared failure branch is empty, so the success block carries
         # its limit weight 1 and the columns stay normalized.
         return JointDistribution(success=_frozen(np.eye(n)),
                                  failure=_frozen(np.zeros((n, n))))
-    p_s = fail.p_s
-    shift_vals = (1.0 - p_s) * _failure_spectrum(fail.b)   # one per (k' - k) mod N
+    p_s = profile.p_s
+    shift_vals = (1.0 - p_s) * _failure_spectrum(profile.b)   # one per (k' - k) mod N
     idx = np.arange(n)
     failure = shift_vals[(idx[:, None] - idx[None, :]) % n]
     success = np.eye(n) * p_s
     return JointDistribution(success=_frozen(success), failure=_frozen(failure))
 
-
-def overlap_alpha_beta(spec: EnsembleSpec, j: int, k: int) -> complex:
-    """Overlap <alpha_j|beta_k> = sum_l c_l b_l w^(l(k-j)).
-
-    Its magnitude is maximal at j = k, where it equals sqrt(fidelity).
-    """
-    n = spec.n_states
-    if not (isinstance(j, (int, np.integer)) and isinstance(k, (int, np.integer))):
-        raise DomainError(f"indices must be integers, got {j!r}, {k!r}")
-    if not (0 <= j < n and 0 <= k < n):
-        raise DomainError(f"indices must lie in [0, {n}), got {j}, {k}")
-    profile = coefficients(spec)
-    fail = failure_profile(profile)
-    ell = np.arange(n)
-    return complex(np.sum(profile.c * fail.b * np.exp(2j * np.pi * ell * (k - j) / n)))

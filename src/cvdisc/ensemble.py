@@ -4,14 +4,14 @@ An alphabet is the set of N coherent states alpha * w^k with w = exp(2*pi*i/N)
 and alpha real, all equiprobable. Every derived quantity depends on alpha only
 through the mean photon number alpha^2. This module computes the exact
 finite-sum decomposition of the alphabet: the amplitude coefficients c_j over
-the symmetric orthonormal basis, the Gram matrix of mutual overlaps, and the
-Fock-space amplitudes of the basis vectors.
+the symmetric orthonormal basis together with the separation success
+probability and failure profile they fix, the Gram matrix of mutual overlaps,
+and the Fock-space amplitudes of the basis vectors.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +21,11 @@ from .errors import CutoffOverflow, DomainError
 
 # The degeneracy band; coefficients() documents how it applies.
 DEGENERACY_TOL = 1e-9
-DEFAULT_FOCK_CAP = 4096
-FOCK_CAP_ENV = "CVDISC_HARD_CUTOFF"
+# Below this failure probability the failure branch is treated as empty.
+FULL_SEPARATION_EPS = 1e-15
+# Fock truncation: the largest cutoff, and the default Poisson tail target.
+FOCK_CAP = 4096
+TAIL_EPS = 1e-12
 # coefficients() sums ~24 * sqrt(alpha^2) terms; alphabets with N up to
 # ~5000 separate fully (1 - p_s < 1e-15) below this bound.
 MAX_ALPHA_SQ = 1e8
@@ -59,7 +62,8 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class CoefficientProfile:
-    """Amplitude coefficients of the alphabet over the symmetric basis.
+    """Everything one (N, alpha^2) point fixes: coefficients, separation
+    success probability and failure profile.
 
     c_sq[j] is the squared coefficient of basis vector j (a probability),
     c[j] its nonnegative square root. c_min is the smallest coefficient, 0
@@ -70,6 +74,14 @@ class CoefficientProfile:
     alphabet); near_band_edge warns that some gap sits within a factor of 10
     of the degeneracy band, where the multiplicity count is
     resolution-limited.
+
+    p_s = N * c_min^2 is the optimal unambiguous success probability. b is
+    the coefficient vector of the normalized failure states,
+    b[j] = sqrt((c_j^2 - p_s/N) / (1 - p_s)), clamped at zero and exactly
+    zero on entries degenerate with c_min; it is None exactly when the
+    failure branch is empty (1 - p_s < FULL_SEPARATION_EPS, or every entry
+    is degenerate with c_min). failure_dim = N - multiplicity is the
+    dimension spanned by the failure set.
     """
 
     c_sq: np.ndarray
@@ -79,6 +91,9 @@ class CoefficientProfile:
     degenerate_mask: np.ndarray
     degenerate: bool
     near_band_edge: bool
+    p_s: float
+    b: np.ndarray | None
+    failure_dim: int
 
     @property
     def n_states(self) -> int:
@@ -104,7 +119,9 @@ class BasisAmplitudes:
 
 
 def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
-    """Evaluate the squared coefficients and classify the minimum.
+    """Evaluate the squared coefficients, classify the minimum, and decide
+    the failure branch once: p_s, b and failure_dim as CoefficientProfile
+    describes them.
 
     c_j^2 is the Poisson weight e^(-alpha^2) alpha^(2k)/k! summed over
     k = j (mod N): running products outward from the mode, over the N terms
@@ -134,15 +151,46 @@ def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
     degenerate_mask = gaps <= band
     near_band_edge = bool(np.any((gaps >= band / 10.0) & (gaps <= band * 10.0)))
 
+    c_min = math.sqrt(c_min_sq)
+    multiplicity = int(degenerate_mask.sum())
+    p_s = n * c_min ** 2
+    b = None
+    if _empty_branch(n, p_s, multiplicity) is None:
+        # Clamp before the square root: rounding can land c_j^2 - p_s/N near
+        # -1e-17 on entries that are analytically zero.
+        raw = (c_sq - p_s / n) / (1.0 - p_s)
+        raw[degenerate_mask] = 0.0
+        b = _frozen(np.sqrt(np.clip(raw, 0.0, None)))
+
     return CoefficientProfile(
         c_sq=_frozen(c_sq),
         c=_frozen(c),
-        c_min=math.sqrt(c_min_sq),
-        multiplicity=int(degenerate_mask.sum()),
+        c_min=c_min,
+        multiplicity=multiplicity,
         degenerate_mask=_frozen(degenerate_mask),
         degenerate=int(np.count_nonzero(c_sq)) == 1,
         near_band_edge=near_band_edge,
+        p_s=p_s,
+        b=b,
+        failure_dim=n - multiplicity,
     )
+
+
+def _empty_branch(n: int, p_s: float, multiplicity: int) -> str | None:
+    """Why the failure branch of a point is empty, or None when it is not.
+
+    It is empty when 1 - p_s < FULL_SEPARATION_EPS, or when every
+    coefficient lies in the degeneracy band of c_min: then the declared
+    failure space has dimension zero even though p_s has not numerically
+    reached 1 (large alphabets near orthogonality). The vacuum alphabet has
+    p_s = 0 and a one-dimensional failure space.
+    """
+    if 1.0 - p_s < FULL_SEPARATION_EPS:
+        return f"separation succeeds with probability {p_s}; no failure states exist"
+    if multiplicity == n:
+        return (f"all {n} live coefficients are degenerate "
+                f"with c_min; failure space is empty (p_s={p_s})")
+    return None
 
 
 def gram(spec: EnsembleSpec) -> np.ndarray:
@@ -158,19 +206,6 @@ def gram(spec: EnsembleSpec) -> np.ndarray:
     return _frozen(entries)
 
 
-def _fock_cap() -> int:
-    raw = os.environ.get(FOCK_CAP_ENV)
-    if raw is None:
-        return DEFAULT_FOCK_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{FOCK_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise DomainError(f"Fock hard cap must be >= 1, got {cap}")
-    return cap
-
-
 def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     """Fock amplitudes <n|phi_j> = exp(-alpha^2/2) * alpha^n / (c_j * sqrt(n!))
     on the ladder n = j + p*N. A row whose c_j underflows to 0 stays zero.
@@ -178,22 +213,20 @@ def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     The cutoff is the smallest n_max >= N-1 whose Poisson tail mass is below
     tail_eps. Amplitudes are computed in log space; n_max can reach hundreds
     and alpha^n / sqrt(n!) overflows long before that. The cutoff is capped
-    by the CVDISC_HARD_CUTOFF environment variable, default 4096.
+    at FOCK_CAP; CutoffOverflow is raised when no cutoff up to it suffices.
     """
     if not (0.0 < tail_eps <= 1e-6):
         raise DomainError(f"tail_eps must be in (0, 1e-6], got {tail_eps}")
-    cap = _fock_cap()
-
     n = spec.n_states
     a2 = spec.alpha_sq
     profile = coefficients(spec)
 
     # Poisson tail P(X > m) = gammainc(m+1, a2), regularized lower incomplete.
-    candidates = np.arange(n - 1, cap + 1)
+    candidates = np.arange(n - 1, FOCK_CAP + 1)
     tails = special.gammainc(candidates + 1.0, a2) if a2 > 0 else np.zeros(candidates.size)
     below = np.nonzero(tails < tail_eps)[0]
     if below.size == 0:
-        raise CutoffOverflow(f"no cutoff <= {cap} reaches tail mass {tail_eps} "
+        raise CutoffOverflow(f"no cutoff <= {FOCK_CAP} reaches tail mass {tail_eps} "
                              f"at alpha_sq={a2}")
     n_max = int(candidates[below[0]])
     tail_mass = float(tails[below[0]])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrim import FailureProfile, _failure_or_none, _failure_spectrum, ud_success
+from .discrim import _failure_spectrum, failure_profile
 from .ensemble import CoefficientProfile, EnsembleSpec, _frozen, coefficients
 from .errors import DomainError
 
@@ -43,15 +43,16 @@ def shannon_entropy(probs) -> float:
     return float(-(p[nz] * np.log2(p[nz])).sum())
 
 
-def failure_posterior(fail: FailureProfile) -> np.ndarray:
+def failure_posterior(profile: CoefficientProfile) -> np.ndarray:
     """Posterior over preparations given outcome 0 on the failure branch.
 
     probs[k] = (1/N) * |sum_l w^(-kl) b_l|^2, the N entries being one FFT of
-    b; entry 0 is maximal and the array is read-only. By symmetry the
+    the profile's b; entry 0 is maximal and the array is read-only. Raises
+    FullSeparation when the failure branch is empty. By symmetry the
     outcome-k posterior is this vector rotated by k, so one vector carries
     the whole failure branch.
     """
-    probs = _failure_spectrum(fail.b)
+    probs = _failure_spectrum(failure_profile(profile).b)
     # Parseval gives sum(probs) = sum(b^2), which the exact-zeroing of
     # band-degenerate entries leaves marginally below 1 near orthogonality;
     # a posterior must still sum to 1.
@@ -68,20 +69,16 @@ def info_report(spec: EnsembleSpec) -> InfoReport:
     and i_ir = log2(N) by the empty-failure-branch limit. The vacuum alphabet
     passes through with i_ud = i_ir = 0.
     """
-    profile = coefficients(spec)
-    return _info_report(profile, _failure_or_none(profile))
+    return _info_report(coefficients(spec))
 
 
-def _info_report(profile: CoefficientProfile,
-                 fail: FailureProfile | None) -> InfoReport:
-    """info_report from a coefficient profile and its failure profile (None
-    when the failure branch is empty)."""
+def _info_report(profile: CoefficientProfile) -> InfoReport:
+    """info_report as a view of one coefficient profile."""
     log2n = math.log2(profile.n_states)
-    if fail is None:
-        i_ud = ud_success(profile) * log2n
-        return InfoReport(i_ud=i_ud, i_ir=log2n, gain=log2n - i_ud, h_fail=0.0)
-    p_s = fail.p_s
-    h_fail = shannon_entropy(failure_posterior(fail))
+    p_s = profile.p_s
     i_ud = p_s * log2n
+    if profile.b is None:
+        return InfoReport(i_ud=i_ud, i_ir=log2n, gain=log2n - i_ud, h_fail=0.0)
+    h_fail = shannon_entropy(failure_posterior(profile))
     i_ir = log2n - (1.0 - p_s) * h_fail
     return InfoReport(i_ud=i_ud, i_ir=i_ir, gain=i_ir - i_ud, h_fail=h_fail)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrim import JointDistribution, _failure_or_none, _joint
+from .discrim import JointDistribution, _joint
 from .ensemble import EnsembleSpec, _frozen, coefficients
 from .errors import DegenerateEnsemble, DomainError
 
@@ -85,7 +85,7 @@ def simulate(config: MCConfig) -> MCResult:
     if profile.degenerate:
         raise DegenerateEnsemble("simulation undefined for a single-state alphabet")
     n = spec.n_states
-    joint = _joint(profile, _failure_or_none(profile))
+    joint = _joint(profile)
 
     cells = np.stack([joint.success.T, joint.failure.T], axis=-1).reshape(n, 2 * n)
     cells /= cells.sum(axis=1, keepdims=True)

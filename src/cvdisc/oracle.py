@@ -9,13 +9,13 @@ element as its vector, re-derives all probabilities as tr(Pi rho) =
 |<v|psi>|^2, and certifies minimum-error optimality through the standard
 Helstrom conditions (Gamma = (1/N) * sum_k Pi_k rho_k Hermitian and
 Gamma - rho_k/N positive semidefinite). The separation model itself is not
-rebuilt: build_workspace takes the coefficients, the separation Kraus
-diagonals and the failure profile from ensemble and discrim. Agreement
-between the two paths therefore checks the assembly, the trace-derived
-probabilities and the Helstrom certificates against the closed forms in
-discrim, not the choice of separation; the acceptance tests check that
-against the Gram matrix. The Fock-basis checks allow for the measured
-truncation of each basis row.
+rebuilt: build_workspace takes the coefficients and the failure profile b
+from one ensemble.coefficients record, and the separation Kraus diagonals
+from discrim. Agreement between the two paths therefore checks the assembly,
+the trace-derived probabilities and the Helstrom certificates against the
+closed forms in discrim, not the choice of separation; the acceptance tests
+check that against the Gram matrix. The Fock-basis checks allow for the
+measured truncation of each basis row.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .discrim import (
     failure_profile,
     separation_operators,
 )
-from .ensemble import EnsembleSpec, _frozen, basis_amplitudes, coefficients
+from .ensemble import TAIL_EPS, EnsembleSpec, _frozen, basis_amplitudes, coefficients
 from .errors import CertificationFailure, DomainError
 
 HERMITICITY_TOL = 1e-10
@@ -95,7 +95,7 @@ class MedCertificate:
 
 def build_workspace(spec: EnsembleSpec,
                     basis: str = "phi",
-                    tail_eps: float = 1e-14) -> MatrixWorkspace:
+                    tail_eps: float = TAIL_EPS) -> MatrixWorkspace:
     """Assemble all states and measurement vectors and check completeness.
 
     basis 'phi' works in the N-dimensional symmetric basis (exact, fast);
@@ -112,7 +112,7 @@ def build_workspace(spec: EnsembleSpec,
         raise DomainError(f"basis must be 'phi' or 'fock', got {basis!r}")
     profile = coefficients(spec)
     sep = separation_operators(profile)       # raises DegenerateEnsemble on vacuum
-    fail = failure_profile(profile)           # raises FullSeparation when empty
+    failure_profile(profile)                  # raises FullSeparation when empty
     n = spec.n_states
 
     if basis == "phi":
@@ -128,7 +128,7 @@ def build_workspace(spec: EnsembleSpec,
     phases = np.exp(2j * np.pi * np.outer(k, k) / n)      # w^(k*j)
     alpha_states = (phases * profile.c) @ phi_rows
     u_states = phases @ phi_rows / np.sqrt(n)
-    beta_states = (phases * fail.b) @ phi_rows
+    beta_states = (phases * profile.b) @ phi_rows
 
     # Row k of u_states @ A.conj() is (A^dagger u_k)^T.
     a_success = (phi_rows.T * sep.a_success_diag) @ phi_rows.conj()

@@ -8,16 +8,17 @@ import pytest
 from cvdisc import (
     CoefficientProfile,
     DegenerateEnsemble,
-    DomainError,
     EnsembleSpec,
     FullSeparation,
+    build_workspace,
     coefficients,
     failure_med,
+    failure_posterior,
     failure_profile,
     helstrom_med,
+    info_report,
     ir_report,
     joint_distribution,
-    overlap_alpha_beta,
     separation_operators,
     ud_success,
 )
@@ -44,17 +45,20 @@ REPORT_3_08 = {
 }
 
 
-def synthetic_profile(c_sq, degenerate_with_min=None):
-    """Build a profile directly from squared coefficients."""
+def synthetic_profile(c_sq, degenerate_with_min=None, b=None):
+    """Build a profile directly from squared coefficients. b is taken as
+    given; the default None declares the failure branch empty."""
     c_sq = np.asarray(c_sq, dtype=float)
     n = c_sq.shape[0]
     c = np.sqrt(c_sq)
     deg = np.zeros(n, dtype=bool)
     if degenerate_with_min is not None:
         deg[list(degenerate_with_min)] = True
+    multiplicity = int(max(deg.sum(), 1))
     return CoefficientProfile(
-        c_sq=c_sq, c=c, c_min=float(c.min()), multiplicity=int(max(deg.sum(), 1)),
-        degenerate_mask=deg, degenerate=False, near_band_edge=False)
+        c_sq=c_sq, c=c, c_min=float(c.min()), multiplicity=multiplicity,
+        degenerate_mask=deg, degenerate=False, near_band_edge=False,
+        p_s=n * float(c.min()) ** 2, b=b, failure_dim=n - multiplicity)
 
 
 # --- helstrom_med / ud_success ---------------------------------------------
@@ -119,7 +123,7 @@ def test_separation_uniform_profile_fully_separates():
     np.testing.assert_array_equal(sep.a_success_diag, np.ones(4))
     np.testing.assert_array_equal(sep.a_failure_diag, np.zeros(4))
     assert ud_success(profile) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(FullSeparation):
+    with pytest.raises(FullSeparation, match="^separation succeeds with probability 1.0; "):
         failure_profile(profile)
 
 
@@ -221,6 +225,50 @@ def test_full_separation_exception_from_failure_profile():
         failure_profile(coefficients(EnsembleSpec(3, 45.0)))
 
 
+# (3, 45) empties the branch through 1 - p_s, (3, 16) through an all-degenerate
+# minimum; the vacuum and the ordinary points keep it. Which alpha^2 is empty
+# is not pinned: the test only asks that every view agrees with profile.b.
+@pytest.mark.parametrize("n,alpha_sq", [(3, 45.0), (3, 16.0), (3, 0.0), (3, 1.0),
+                                        (5, 1.5), (8, 2.0)])
+def test_single_sentinel_decision(n, alpha_sq):
+    spec = EnsembleSpec(n, alpha_sq)
+    profile = coefficients(spec)
+    empty = profile.b is None
+    assert empty == (1.0 - profile.p_s < 1e-15 or profile.multiplicity == n)
+    assert ir_report(spec).full_separation == empty
+    info = info_report(spec)
+    assert (info.h_fail == 0.0 and info.i_ir == math.log2(n)) == empty
+    if profile.degenerate:
+        with pytest.raises(DegenerateEnsemble):
+            joint_distribution(spec)
+    else:
+        assert (not joint_distribution(spec).failure.any()) == empty
+    if not empty:
+        assert failure_profile(profile) is profile
+        return
+    for view in (failure_med, failure_posterior):
+        with pytest.raises(FullSeparation):
+            view(profile)
+    with pytest.raises(FullSeparation) as exc:
+        failure_profile(profile)
+    if 1.0 - profile.p_s < 1e-15:
+        assert str(exc.value) == (f"separation succeeds with probability {profile.p_s}; "
+                                   "no failure states exist")
+    else:
+        assert str(exc.value) == (f"all {n} live coefficients are degenerate with "
+                                   f"c_min; failure space is empty (p_s={profile.p_s})")
+
+
+def test_all_degenerate_message():
+    # Every entry in the band while 1 - p_s stays above 1e-15.
+    banded = synthetic_profile([0.25 - 1e-12] * 3 + [0.25 + 3e-12],
+                               degenerate_with_min=range(4))
+    assert 1.0 - banded.p_s > 1e-15
+    with pytest.raises(FullSeparation, match=r"^all 4 live coefficients are degenerate "
+                                             r"with c_min; failure space is empty \(p_s="):
+        failure_profile(banded)
+
+
 # --- joint_distribution ------------------------------------------------------
 
 
@@ -260,27 +308,24 @@ def test_joint_vacuum_raises():
         joint_distribution(EnsembleSpec(3, 0.0))
 
 
-# --- overlap_alpha_beta ------------------------------------------------------
+# --- overlaps <alpha_j|beta_k> ---------------------------------------------
+
+
+def overlaps(spec):
+    """[j, k] = <alpha_j|beta_k> from the oracle's explicit states."""
+    ws = build_workspace(spec)
+    return ws.alpha_states.conj() @ ws.beta_states.T
 
 
 def test_overlap_diagonal_is_root_fidelity():
     rep = ir_report(EnsembleSpec(4, 1.0))
+    ov = overlaps(EnsembleSpec(4, 1.0))
     for j in range(4):
-        ov = overlap_alpha_beta(EnsembleSpec(4, 1.0), j, j)
-        assert abs(ov.imag) < 1e-12
-        assert ov.real == pytest.approx(math.sqrt(rep.fidelity), abs=1e-12)
+        assert abs(ov[j, j].imag) < 1e-12
+        assert ov[j, j].real == pytest.approx(math.sqrt(rep.fidelity), abs=1e-12)
 
 
 def test_overlap_peaks_on_diagonal():
-    spec = EnsembleSpec(6, 2.0)
+    ov = np.abs(overlaps(EnsembleSpec(6, 2.0)))
     for j in range(6):
-        diag = abs(overlap_alpha_beta(spec, j, j))
-        off = max(abs(overlap_alpha_beta(spec, j, k)) for k in range(6) if k != j)
-        assert diag > off
-
-
-def test_overlap_index_validation():
-    spec = EnsembleSpec(3, 1.0)
-    for j, k in ((-1, 0), (0, 3), (1.5, 0), (0, "2")):
-        with pytest.raises(DomainError):
-            overlap_alpha_beta(spec, j, k)
+        assert ov[j, j] > max(ov[j, k] for k in range(6) if k != j)

@@ -15,7 +15,7 @@ from cvdisc import (
     gram,
 )
 from cvdisc.analytic3 import KINK_PERIOD
-from cvdisc.ensemble import DEFAULT_FOCK_CAP, FOCK_CAP_ENV
+from cvdisc.ensemble import FOCK_CAP
 
 # Independently derived at (N=3, alpha^2=1) from Poisson block sums.
 C_SQ_3_1 = [0.429704639580390, 0.383280844609673, 0.187014515809936]
@@ -243,23 +243,15 @@ def test_tail_eps_validation(tail_eps):
         basis_amplitudes(EnsembleSpec(3, 1.0), tail_eps)
 
 
-def test_cutoff_overflow(monkeypatch):
-    monkeypatch.setenv(FOCK_CAP_ENV, "16")
+def test_cutoff_overflow():
     with pytest.raises(CutoffOverflow):
-        basis_amplitudes(EnsembleSpec(3, 30.0), 1e-12)
+        basis_amplitudes(EnsembleSpec(3, 5000.0), 1e-12)
 
 
-def test_hard_cap_env_override(monkeypatch):
-    monkeypatch.setenv(FOCK_CAP_ENV, "8")
-    with pytest.raises(CutoffOverflow):
-        basis_amplitudes(EnsembleSpec(3, 30.0), 1e-12)
-    # Without the variable the default cap applies again.
-    monkeypatch.delenv(FOCK_CAP_ENV)
-    amp = basis_amplitudes(EnsembleSpec(3, 30.0), 1e-12)
-    assert 8 < amp.cutoff <= DEFAULT_FOCK_CAP
-
-
-def test_hard_cap_env_validation(monkeypatch):
-    monkeypatch.setenv(FOCK_CAP_ENV, "not-a-number")
-    with pytest.raises(DomainError):
-        basis_amplitudes(EnsembleSpec(3, 1.0), 1e-12)
+def test_fock_cap_is_fixed():
+    assert FOCK_CAP == 4096
+    # A cutoff just under the cap is reached; the overflow names the cap.
+    amp = basis_amplitudes(EnsembleSpec(3, 3500.0), 1e-12)
+    assert 3500 < amp.cutoff <= FOCK_CAP
+    with pytest.raises(CutoffOverflow, match="no cutoff <= 4096 "):
+        basis_amplitudes(EnsembleSpec(3, 4000.0), 1e-12)

@@ -21,7 +21,6 @@ from cvdisc import (
     joint_distribution,
 )
 from cvdisc import oracle
-from cvdisc.ensemble import FOCK_CAP_ENV
 
 REPORT_FIELDS = ("p_s", "p_c_med", "p_c_med_beta", "p_c_ir", "fidelity",
                  "infidelity", "error_bound", "confidence_success",
@@ -69,10 +68,9 @@ def test_workspace_vacuum_raises():
         build_workspace(EnsembleSpec(3, 0.0))
 
 
-def test_workspace_fock_cap_overflow(monkeypatch):
-    monkeypatch.setenv(FOCK_CAP_ENV, "8")
+def test_workspace_fock_cap_overflow():
     with pytest.raises(CutoffOverflow):
-        build_workspace(EnsembleSpec(3, 6.0), basis="fock", tail_eps=1e-12)
+        build_workspace(EnsembleSpec(128, 4000.0), basis="fock")
 
 
 # --- brute force vs closed form ------------------------------------------------
