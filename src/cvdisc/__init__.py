@@ -13,6 +13,7 @@ from .discrim import (
     failure_med,
     failure_profile,
     helstrom_med,
+    ir_columns,
     ir_report,
     joint_distribution,
     separation_operators,
@@ -20,9 +21,11 @@ from .discrim import (
 )
 from .ensemble import (
     BasisAmplitudes,
+    CoefficientBlock,
     CoefficientProfile,
     EnsembleSpec,
     basis_amplitudes,
+    coefficient_grid,
     coefficients,
     gram,
 )
@@ -37,6 +40,7 @@ from .errors import (
 from .infotheory import (
     InfoReport,
     failure_posterior,
+    info_columns,
     info_report,
     shannon_entropy,
 )
@@ -56,6 +60,7 @@ __version__ = "1.0.0"
 __all__ = [
     "BasisAmplitudes",
     "CertificationFailure",
+    "CoefficientBlock",
     "CoefficientProfile",
     "CubicSolution",
     "CutoffOverflow",
@@ -79,13 +84,16 @@ __all__ = [
     "build_workspace",
     "certify_helstrom",
     "certify_med_optimality",
+    "coefficient_grid",
     "coefficients",
     "failure_med",
     "failure_posterior",
     "failure_profile",
     "gram",
     "helstrom_med",
+    "info_columns",
     "info_report",
+    "ir_columns",
     "ir_report",
     "joint_distribution",
     "kinks_n3",

@@ -4,8 +4,11 @@ closed-form solver, and oracle verification.
 Exit codes: 0 success, 2 argument/domain error, 3 I/O failure, 4 statistical
 flag (a Monte Carlo cell beyond 6 sigma), 5 certification failure.
 
-report and sweep print views of one record per point: _point_values makes a
-single coefficients call and collects both reports from it.
+report prints a view of one record per point: _point_values makes a single
+coefficients call and collects both reports from it. sweep makes one
+coefficient_grid call over its whole alpha^2 grid and writes each block of
+rows from the column views ir_columns and info_columns, one format string
+per CSV row.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytic3, discrim, infotheory, montecarlo, oracle
-from .ensemble import TAIL_EPS, EnsembleSpec, coefficients
+from .ensemble import TAIL_EPS, EnsembleSpec, coefficient_grid, coefficients
 from .errors import (
     CertificationFailure,
     CutoffOverflow,
@@ -37,6 +41,9 @@ EXIT_CERTIFICATION = 5
 
 CSV_HEADER = ("alpha_sq,p_s,p_c_med,p_c_med_beta,p_c_ir,fidelity,infidelity,"
               "error_bound,i_ud,i_ir,gain,failure_dim")
+_CSV_COLUMNS = CSV_HEADER.split(",")
+# %.12e formats a float as format(x, ".12e") does; failure_dim is an integer.
+_CSV_ROW = ",".join(["%.12e"] * (len(_CSV_COLUMNS) - 1) + ["%d"]) + "\n"
 
 STEPS_CAP = 10 ** 6
 
@@ -57,8 +64,10 @@ class SweepRequest:
     steps: int
 
     def __post_init__(self) -> None:
-        if self.alpha_sq_min < 0.0:
-            raise DomainError(f"alpha2-min must be >= 0, got {self.alpha_sq_min}")
+        # Every grid point lies between the bounds, so checking both checks
+        # the grid before any point is computed.
+        EnsembleSpec(self.n_states, self.alpha_sq_min)
+        EnsembleSpec(self.n_states, self.alpha_sq_max)
         if not self.alpha_sq_max > self.alpha_sq_min:
             raise DomainError("alpha2-max must exceed alpha2-min")
         if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
@@ -74,13 +83,16 @@ def _g(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    # Write to a sibling temp file and rename so no partial file can remain.
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    # Write to a sibling temp file and rename so no partial file can remain;
+    # chunks may be computed lazily, and a failure while computing one also
+    # leaves no file.
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cvdisc-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -111,12 +123,18 @@ def cmd_report(n: int, alpha_sq: float) -> int:
     return EXIT_OK
 
 
+def _sweep_chunks(request: SweepRequest) -> Iterator[str]:
+    """The sweep CSV: the header, then the rows of one grid block at a time."""
+    yield CSV_HEADER + "\n"
+    for block in coefficient_grid(request.n_states, request.grid()):
+        values = {**vars(discrim.ir_columns(block)), **vars(infotheory.info_columns(block)),
+                  "alpha_sq": block.alpha_sq, "failure_dim": block.failure_dim}
+        columns = [values[name].tolist() for name in _CSV_COLUMNS]
+        yield "".join(_CSV_ROW % row for row in zip(*columns))
+
+
 def cmd_sweep(request: SweepRequest, out_path: str) -> int:
-    rows = [CSV_HEADER]
-    for alpha_sq in request.grid():
-        values = _point_values(request.n_states, float(alpha_sq))
-        rows.append(",".join(_cell(values[col], ".12e") for col in CSV_HEADER.split(",")))
-    _atomic_write(out_path, "\n".join(rows) + "\n")
+    _atomic_write(out_path, _sweep_chunks(request))
     return EXIT_OK
 
 
@@ -159,7 +177,7 @@ def cmd_mc(n: int, alpha_sq: float, shots: int, seed: int,
     print(f"rng_algorithm                = {result.rng_algorithm}")
 
     if out_path is not None:
-        _atomic_write(out_path, "\n".join(csv_rows) + "\n")
+        _atomic_write(out_path, ["\n".join(csv_rows) + "\n"])
     if worst_z > 6.0:
         print("statistical flag: a cell deviates beyond 6 sigma", file=sys.stderr)
         return EXIT_STATISTICAL

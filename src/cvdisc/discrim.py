@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import CoefficientProfile, EnsembleSpec, _empty_branch, _frozen, coefficients
+from .ensemble import (
+    CoefficientBlock,
+    CoefficientProfile,
+    EnsembleSpec,
+    _empty_branch,
+    _frozen,
+    coefficients,
+)
 from .errors import DegenerateEnsemble, FullSeparation
 
 
@@ -37,7 +44,9 @@ class SeparationOperators:
 
 @dataclass(frozen=True)
 class DiscriminationReport:
-    """All scalar figures of merit for one (N, alpha^2) point.
+    """All scalar figures of merit for one (N, alpha^2) point. From
+    ir_columns, each field is a column over the rows of a block, except
+    confidence_success, which is 1 on every row and stays the scalar 1.0.
 
     When full_separation is set the failure branch is empty; p_c_ir is 1 by
     its limit and the failure-branch fields (p_c_med_beta, fidelity,
@@ -72,10 +81,18 @@ class JointDistribution:
         return self.success.shape[0]
 
 
+def _med(x: np.ndarray) -> np.ndarray:
+    """(1/N)(sum_j x_j)^2 over the last axis: the minimum-error correct
+    probability of the symmetric states with coefficient vector x.
+
+    float_power is libm pow, as Python's float ** 2; numpy's x**2 is x*x.
+    """
+    return np.float_power(x.sum(axis=-1), 2.0) / x.shape[-1]
+
+
 def helstrom_med(profile: CoefficientProfile) -> float:
     """Minimum-error correct-identification probability (1/N)(sum_j c_j)^2."""
-    n = profile.n_states
-    return float(profile.c.sum()) ** 2 / n
+    return float(_med(profile.c))
 
 
 def ud_success(profile: CoefficientProfile) -> float:
@@ -120,16 +137,17 @@ def failure_med(profile: CoefficientProfile) -> float:
 
     Raises FullSeparation when the failure branch is empty.
     """
-    return float(failure_profile(profile).b.sum()) ** 2 / profile.n_states
+    return float(_med(failure_profile(profile).b))
 
 
 def _failure_spectrum(b: np.ndarray) -> np.ndarray:
-    """(1/N) * |sum_l w^(-kl) b_l|^2 for k = 0..N-1, one FFT of b.
+    """(1/N) * |sum_l w^(-kl) b_l|^2 for k = 0..N-1, one FFT of b along
+    its last axis.
 
     Equal to the double sum (1/N) * sum_{l,m} w^(-k(l-m)) b_l b_m, and, since
     b is real, symmetric under k -> -k. Nonnegative by construction.
     """
-    return np.abs(np.fft.fft(b)) ** 2 / b.shape[0]
+    return np.abs(np.fft.fft(b)) ** 2 / b.shape[-1]
 
 
 def ir_report(spec: EnsembleSpec) -> DiscriminationReport:
@@ -147,29 +165,42 @@ def ir_report(spec: EnsembleSpec) -> DiscriminationReport:
 
 def _ir_report(profile: CoefficientProfile) -> DiscriminationReport:
     """ir_report as a view of one coefficient profile."""
-    p_s = profile.p_s
-    p_c_med = helstrom_med(profile)
-    if profile.b is None:
-        nan = math.nan
-        return DiscriminationReport(
-            p_s=p_s, p_c_med=p_c_med, p_c_med_beta=nan, p_c_ir=1.0,
-            fidelity=nan, infidelity=nan, error_bound=nan,
-            confidence_success=1.0, confidence_failure=nan,
-            full_separation=True)
-    p_c_med_beta = failure_med(profile)
-    p_c_ir = p_s + (1.0 - p_s) * p_c_med_beta
-    fidelity = float(profile.c @ profile.b) ** 2
+    empty = profile.b is None
+    b = np.full(profile.n_states, math.nan) if empty else profile.b
+    figures = _ir_figures(profile.c, b, profile.p_s, empty)
+    return DiscriminationReport(**{k: float(v) for k, v in figures.items()},
+                                full_separation=empty)
+
+
+def ir_columns(block: CoefficientBlock) -> DiscriminationReport:
+    """ir_report for every row of a block: each field is a column."""
     return DiscriminationReport(
-        p_s=p_s,
-        p_c_med=p_c_med,
-        p_c_med_beta=p_c_med_beta,
-        p_c_ir=p_c_ir,
-        fidelity=fidelity,
-        infidelity=1.0 - fidelity,
-        error_bound=max(0.0, 1.0 - fidelity / p_c_med),
-        confidence_success=1.0,
-        confidence_failure=p_c_med_beta,
-    )
+        **_ir_figures(block.c, block.b, block.p_s, block.full_separation),
+        full_separation=block.full_separation)
+
+
+def _ir_figures(c: np.ndarray, b: np.ndarray, p_s, empty) -> dict:
+    """The figures of ir_report but full_separation, over the leading axes
+    of c and b (..., N).
+
+    b is NaN where empty is set (the failure branch is empty), which makes
+    the failure-branch fields NaN there; p_c_ir takes its limit 1. The
+    batched matmul is the same dot product as c @ b on one row.
+    """
+    p_c_med = _med(c)
+    p_c_med_beta = _med(b)
+    fidelity = np.float_power(np.matmul(c[..., None, :], b[..., :, None])[..., 0, 0], 2.0)
+    return {
+        "p_s": p_s,
+        "p_c_med": p_c_med,
+        "p_c_med_beta": p_c_med_beta,
+        "p_c_ir": np.where(empty, 1.0, p_s + (1.0 - p_s) * p_c_med_beta),
+        "fidelity": fidelity,
+        "infidelity": 1.0 - fidelity,
+        "error_bound": np.maximum(0.0, 1.0 - fidelity / p_c_med),
+        "confidence_success": 1.0,
+        "confidence_failure": p_c_med_beta,
+    }
 
 
 def joint_distribution(spec: EnsembleSpec) -> JointDistribution:

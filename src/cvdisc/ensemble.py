@@ -12,6 +12,7 @@ and the Fock-space amplitudes of the basis vectors.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ TAIL_EPS = 1e-12
 # coefficients() sums ~24 * sqrt(alpha^2) terms; alphabets with N up to
 # ~5000 separate fully (1 - p_s < 1e-15) below this bound.
 MAX_ALPHA_SQ = 1e8
+# coefficient_grid works in blocks of at most this many entries per array, so
+# its memory is bounded whatever the grid length, N or alpha^2.
+GRID_BLOCK = 2 ** 16
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -101,6 +105,29 @@ class CoefficientProfile:
 
 
 @dataclass(frozen=True)
+class CoefficientBlock:
+    """CoefficientProfile for a block of alpha^2 values at one N, less the
+    flags degenerate and near_band_edge.
+
+    Row r belongs to alpha_sq[r]: c_sq, c, degenerate_mask and b are
+    (rows, N) arrays, every other field a column with one entry per row.
+    b is NaN on the rows whose failure branch is empty, and
+    full_separation marks those rows.
+    """
+
+    alpha_sq: np.ndarray
+    c_sq: np.ndarray
+    c: np.ndarray
+    c_min: np.ndarray
+    multiplicity: np.ndarray
+    degenerate_mask: np.ndarray
+    p_s: np.ndarray
+    b: np.ndarray
+    failure_dim: np.ndarray
+    full_separation: np.ndarray
+
+
+@dataclass(frozen=True)
 class BasisAmplitudes:
     """Fock-space amplitudes of the symmetric basis vectors.
 
@@ -130,26 +157,19 @@ def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
     precision down to underflow; np.longdouble, where it is wider than a
     double, makes the entries correctly rounded. Entries within
     DEGENERACY_TOL * max(c_min^2, 1e-300) of c_min^2 count toward the
-    multiplicity.
+    multiplicity. coefficient_grid gives the same c_sq, p_s, b and
+    failure decision, bit for bit, for many alpha^2 at once.
     """
     n = spec.n_states
-    a2 = np.longdouble(spec.alpha_sq)
-    mode = math.floor(spec.alpha_sq)
-    half = n + math.ceil(12.0 * math.sqrt(spec.alpha_sq)) + 40
-    low = max(0, mode - half) // n * n
-    high = -(-(mode + half + 1) // n) * n
-    up = np.cumprod(a2 / np.arange(mode + 1, high, dtype=np.longdouble))
-    down = np.cumprod(np.arange(mode, low, -1, dtype=np.longdouble) / a2)
-    weights = np.concatenate((down[::-1], [np.longdouble(1.0)], up))
-    sums = weights.reshape(-1, n).sum(axis=0)    # row p holds k = low + p*N + j
-    c_sq = (sums / sums.sum()).astype(float)
+    a2 = spec.alpha_sq
+    c_sq = _fold(np.longdouble(a2), n, math.floor(a2), n + math.ceil(12.0 * math.sqrt(a2)) + 40)
 
     c = np.sqrt(c_sq)
     c_min_sq = float(c_sq.min())
     band = DEGENERACY_TOL * max(c_min_sq, 1e-300)
     gaps = c_sq - c_min_sq
     degenerate_mask = gaps <= band
-    near_band_edge = bool(np.any((gaps >= band / 10.0) & (gaps <= band * 10.0)))
+    near_band_edge = bool(((gaps >= band / 10.0) & (gaps <= band * 10.0)).any())
 
     c_min = math.sqrt(c_min_sq)
     multiplicity = int(degenerate_mask.sum())
@@ -160,7 +180,7 @@ def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
         # -1e-17 on entries that are analytically zero.
         raw = (c_sq - p_s / n) / (1.0 - p_s)
         raw[degenerate_mask] = 0.0
-        b = _frozen(np.sqrt(np.clip(raw, 0.0, None)))
+        b = _frozen(np.sqrt(np.maximum(raw, 0.0)))
 
     return CoefficientProfile(
         c_sq=_frozen(c_sq),
@@ -173,6 +193,108 @@ def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
         p_s=p_s,
         b=b,
         failure_dim=n - multiplicity,
+    )
+
+
+def coefficient_grid(n: int, alpha_sq) -> Iterator[CoefficientBlock]:
+    """coefficients over a 1-D array of alpha^2 values, as consecutive
+    CoefficientBlocks of at most GRID_BLOCK // N rows each.
+
+    Row r of the blocks is bit for bit coefficients(EnsembleSpec(n,
+    alpha_sq[r])): every value is checked as EnsembleSpec checks it, and
+    consecutive values that share the Poisson mode floor(alpha^2) are
+    folded in one pass.
+    """
+    n = EnsembleSpec(n, 0.0).n_states     # checks N as every point would
+    a2 = np.asarray(alpha_sq, dtype=float)
+    if a2.ndim != 1:
+        raise DomainError(f"alpha_sq must be a 1-D array, got shape {a2.shape}")
+    bad = ~((a2 >= 0.0) & (a2 <= MAX_ALPHA_SQ))
+    if bad.any():
+        EnsembleSpec(n, float(a2[bad][0]))    # raises with EnsembleSpec's message
+    rows = max(1, GRID_BLOCK // n)
+    for start in range(0, a2.size, rows):
+        chunk = a2[start:start + rows]
+        yield _classify(chunk, _fold_runs(chunk, n))
+
+
+def _fold_runs(a2: np.ndarray, n: int) -> np.ndarray:
+    """c_sq for every alpha^2 in a2: one _fold per run of consecutive values
+    sharing the Poisson mode floor(alpha^2), split so that a fold holds at
+    most GRID_BLOCK terms."""
+    modes = np.floor(a2)
+    halves = (n + np.ceil(12.0 * np.sqrt(a2)) + 40).astype(np.int64)
+    c_sq = np.empty((a2.size, n))
+    cuts = (np.flatnonzero(np.diff(modes)) + 1).tolist()
+    a2_long = a2.astype(np.longdouble)
+    for lo, hi in zip([0, *cuts], [*cuts, a2.size]):
+        # A fold spans fewer than 2 * half + 2 * N terms per row.
+        step = max(1, GRID_BLOCK // (2 * int(halves[lo:hi].max()) + 2 * n))
+        for s in range(lo, hi, step):
+            e = min(hi, s + step)
+            c_sq[s:e] = _fold(a2_long[s:e], n, int(modes[lo]), halves[s:e])
+    return c_sq
+
+
+def _fold(a2: np.ndarray, n: int, mode: int, half) -> np.ndarray:
+    """c_sq (..., N) for np.longdouble alpha^2 values a2 (...) whose Poisson
+    mode is mode: the terms k in [mode - half, mode + half], widened to
+    whole multiples of N, summed mod N.
+
+    half is one int, or one int per row of a column a2. Then the running
+    products span the widest window and each row's terms outside its own
+    window are zeroed: the products from the mode agree term by term with
+    the row's own fold, and adding exact zeros changes no sum, so every row
+    is bit for bit its own fold.
+    """
+    per_row = isinstance(half, np.ndarray)
+    top = int(half.max()) if per_row else half
+    low = max(0, mode - top) // n * n
+    high = -(-(mode + top + 1) // n) * n
+    a2 = a2[..., None]
+    up = np.cumprod(a2 / np.arange(mode + 1, high, dtype=np.longdouble), axis=-1)
+    down = np.cumprod(np.arange(mode, low, -1, dtype=np.longdouble) / a2, axis=-1)
+    weights = np.concatenate((down[..., ::-1], np.ones(a2.shape, np.longdouble), up), axis=-1)
+    if per_row:
+        k = np.arange(low, high)
+        lows = np.maximum(0, mode - half) // n * n
+        highs = -(-(mode + half + 1) // n) * n
+        weights[(k < lows[:, None]) | (k >= highs[:, None])] = 0.0
+    sums = weights.reshape(*a2.shape[:-1], -1, n).sum(axis=-2)   # [..., p, j]: k = low + p*N + j
+    return (sums / sums.sum(axis=-1, keepdims=True)).astype(float)
+
+
+def _classify(alpha_sq: np.ndarray, c_sq: np.ndarray) -> CoefficientBlock:
+    """The classification of coefficients(), on every row of c_sq at once.
+
+    coefficients() keeps its one-row form because numpy calls on one row
+    cost more than the Python scalars it uses; tests hold the two equal bit
+    for bit.
+    """
+    n = c_sq.shape[1]
+    c_min_sq = c_sq.min(axis=1)
+    band = (DEGENERACY_TOL * np.maximum(c_min_sq, 1e-300))[:, None]
+    degenerate_mask = c_sq - c_min_sq[:, None] <= band
+    multiplicity = degenerate_mask.sum(axis=1)
+    c_min = np.sqrt(c_min_sq)
+    # float_power is libm pow, as Python's float ** 2; numpy's x**2 is x*x.
+    p_s = n * np.float_power(c_min, 2.0)
+    empty = (1.0 - p_s < FULL_SEPARATION_EPS) | (multiplicity == n)
+    raw = c_sq - (p_s / n)[:, None]
+    raw[degenerate_mask] = 0.0
+    # Dividing by NaN makes b NaN on empty rows.
+    raw /= np.where(empty, np.nan, 1.0 - p_s)[:, None]
+    return CoefficientBlock(
+        alpha_sq=alpha_sq,
+        c_sq=c_sq,
+        c=np.sqrt(c_sq),
+        c_min=c_min,
+        multiplicity=multiplicity,
+        degenerate_mask=degenerate_mask,
+        p_s=p_s,
+        b=np.sqrt(np.maximum(raw, 0.0)),
+        failure_dim=n - multiplicity,
+        full_separation=empty,
     )
 
 

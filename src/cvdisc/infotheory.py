@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrim import _failure_spectrum, failure_profile
-from .ensemble import CoefficientProfile, EnsembleSpec, _frozen, coefficients
+from .ensemble import CoefficientBlock, CoefficientProfile, EnsembleSpec, _frozen, coefficients
 from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class InfoReport:
-    """Mutual informations in bits: unambiguous-only, recycled, and their gap."""
+    """Mutual informations in bits: unambiguous-only, recycled, and their
+    gap; from info_columns, one column per field over the rows of a block."""
 
     i_ud: float
     i_ir: float
@@ -38,9 +39,13 @@ def shannon_entropy(probs) -> float:
     total = float(p.sum())
     if abs(total - 1.0) > 1e-8:
         raise DomainError(f"probabilities sum to {total}, expected 1")
-    p = np.clip(p, 0.0, None)
-    nz = p > 0.0
-    return float(-(p[nz] * np.log2(p[nz])).sum())
+    return float(_entropy_bits(np.clip(p, 0.0, None)))
+
+
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the last axis of nonnegative p, 0 log2 0 = 0."""
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    return -(p * logs).sum(axis=-1)
 
 
 def failure_posterior(profile: CoefficientProfile) -> np.ndarray:
@@ -52,12 +57,16 @@ def failure_posterior(profile: CoefficientProfile) -> np.ndarray:
     outcome-k posterior is this vector rotated by k, so one vector carries
     the whole failure branch.
     """
-    probs = _failure_spectrum(failure_profile(profile).b)
+    return _frozen(_posterior(failure_profile(profile).b))
+
+
+def _posterior(b: np.ndarray) -> np.ndarray:
+    """failure_posterior of every failure profile b along the last axis."""
+    probs = _failure_spectrum(b)
     # Parseval gives sum(probs) = sum(b^2), which the exact-zeroing of
     # band-degenerate entries leaves marginally below 1 near orthogonality;
     # a posterior must still sum to 1.
-    probs /= probs.sum()
-    return _frozen(probs)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def info_report(spec: EnsembleSpec) -> InfoReport:
@@ -74,11 +83,23 @@ def info_report(spec: EnsembleSpec) -> InfoReport:
 
 def _info_report(profile: CoefficientProfile) -> InfoReport:
     """info_report as a view of one coefficient profile."""
-    log2n = math.log2(profile.n_states)
-    p_s = profile.p_s
+    empty = profile.b is None
+    b = np.full(profile.n_states, math.nan) if empty else profile.b
+    figures = _info_figures(b, profile.p_s, empty)
+    return InfoReport(**{k: float(v) for k, v in figures.items()})
+
+
+def info_columns(block: CoefficientBlock) -> InfoReport:
+    """info_report for every row of a block: each field is a column."""
+    return InfoReport(**_info_figures(block.b, block.p_s, block.full_separation))
+
+
+def _info_figures(b: np.ndarray, p_s, empty) -> dict:
+    """The figures of info_report over the leading axes of b (..., N); b is
+    NaN where empty is set (the failure branch is empty), and h_fail and
+    i_ir take their limits 0 and log2 N there."""
+    log2n = math.log2(b.shape[-1])
     i_ud = p_s * log2n
-    if profile.b is None:
-        return InfoReport(i_ud=i_ud, i_ir=log2n, gain=log2n - i_ud, h_fail=0.0)
-    h_fail = shannon_entropy(failure_posterior(profile))
+    h_fail = np.where(empty, 0.0, _entropy_bits(_posterior(b)))
     i_ir = log2n - (1.0 - p_s) * h_fail
-    return InfoReport(i_ud=i_ud, i_ir=i_ir, gain=i_ir - i_ud, h_fail=h_fail)
+    return {"i_ud": i_ud, "i_ir": i_ir, "gain": i_ir - i_ud, "h_fail": h_fail}

@@ -130,12 +130,17 @@ def test_sweep_deterministic_bytes(capsys, tmp_path):
 
 
 def test_sweep_evaluates_coefficients_once_per_point(capsys, monkeypatch, tmp_path):
-    calls = count_calls(monkeypatch, ensemble.coefficients)
+    # The whole grid goes through one coefficient_grid call, which evaluates
+    # each point once; no point takes the one-point coefficients path.
+    grid_calls = count_calls(monkeypatch, ensemble.coefficient_grid)
+    point_calls = count_calls(monkeypatch, ensemble.coefficients)
     code, _, _ = run(capsys, "sweep", "--n", "4", "--alpha2-min", "0.2",
                      "--alpha2-max", "3.0", "--steps", "7",
                      "--out", str(tmp_path / "once.csv"))
     assert code == 0
-    assert len(calls) == 7
+    assert len(grid_calls) == 1
+    assert grid_calls[0][1].shape == (7,)
+    assert len(point_calls) == 0
 
 
 def test_sweep_failure_dim_drops_at_kink(capsys, tmp_path):
@@ -177,10 +182,18 @@ def test_sweep_io_error_exit_3(capsys, tmp_path):
     # Beyond STEPS_CAP: rejected before the grid is allocated.
     ("sweep", "--n", "3", "--alpha2-min", "0.0", "--alpha2-max", "1.0",
      "--steps", "10000000000", "--out", "x.csv"),
+    # Bounds outside EnsembleSpec's domain: rejected before any point is
+    # computed, so no numpy warning reaches stderr.
+    ("sweep", "--n", "3", "--alpha2-min", "0", "--alpha2-max", "inf",
+     "--steps", "3", "--out", "x.csv"),
+    ("sweep", "--n", "3", "--alpha2-min", "0", "--alpha2-max", "2e8",
+     "--steps", "5", "--out", "x.csv"),
 ])
-def test_sweep_bad_grid_exit_2(capsys, argv):
-    code, _, _ = run(capsys, *argv)
+def test_sweep_bad_grid_exit_2(capsys, recwarn, argv):
+    code, _, err = run(capsys, *argv)
     assert code == 2
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_sweep_steps_cap_is_inclusive():
