@@ -9,11 +9,15 @@ coefficients call and collects both reports from it. sweep makes one
 coefficient_grid call over its whole alpha^2 grid and writes each block of
 rows from the column views ir_columns and info_columns, one format string
 per CSV row.
+
+The argparse parser is built once per process, on the first main call, and
+reused: parsing does not change it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -255,6 +259,7 @@ def _alpha_list(raw: str) -> list[float]:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvdisc",

@@ -333,7 +333,9 @@ def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     on the ladder n = j + p*N. A row whose c_j underflows to 0 stays zero.
 
     The cutoff is the smallest n_max >= N-1 whose Poisson tail mass is below
-    tail_eps. Amplitudes are computed in log space; n_max can reach hundreds
+    tail_eps. The candidates are scanned in ascending blocks of doubling size
+    (64, 128, ...), and the scan stops at the first block that holds the
+    cutoff. Amplitudes are computed in log space; n_max can reach hundreds
     and alpha^n / sqrt(n!) overflows long before that. The cutoff is capped
     at FOCK_CAP; CutoffOverflow is raised when no cutoff up to it suffices.
     """
@@ -344,10 +346,17 @@ def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     profile = coefficients(spec)
 
     # Poisson tail P(X > m) = gammainc(m+1, a2), regularized lower incomplete.
-    candidates = np.arange(n - 1, FOCK_CAP + 1)
-    tails = special.gammainc(candidates + 1.0, a2) if a2 > 0 else np.zeros(candidates.size)
-    below = np.nonzero(tails < tail_eps)[0]
-    if below.size == 0:
+    # gammainc is elementwise, so the first hit of the first block holding
+    # one is the first hit of a single pass over all candidates.
+    start, size = n - 1, 64
+    while start <= FOCK_CAP:
+        candidates = np.arange(start, min(start + size, FOCK_CAP + 1))
+        tails = special.gammainc(candidates + 1.0, a2) if a2 > 0 else np.zeros(candidates.size)
+        below = np.nonzero(tails < tail_eps)[0]
+        if below.size:
+            break
+        start, size = start + size, 2 * size
+    else:
         raise CutoffOverflow(f"no cutoff <= {FOCK_CAP} reaches tail mass {tail_eps} "
                              f"at alpha_sq={a2}")
     n_max = int(candidates[below[0]])

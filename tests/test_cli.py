@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cvdisc import DomainError, discrim, ensemble
+from cvdisc import DomainError, cli, discrim, ensemble
 from cvdisc.analytic3 import KINK_PERIOD
 from cvdisc.cli import CSV_HEADER, STEPS_CAP, SweepRequest, main
 
@@ -320,7 +320,11 @@ def test_verify_passes(capsys):
 def test_verify_multiple_points(capsys):
     code, out, _ = run(capsys, "verify", "--n", "3", "--alpha2", "0.5,1.5")
     assert code == 0
-    assert out.count("PASS") >= 8
+    lines = [ln for ln in out.splitlines() if ln]
+    assert len(lines) == 8
+    assert all(ln.startswith("PASS ") for ln in lines)
+    for tag in ("(n=3, alpha_sq=0.5)", "(n=3, alpha_sq=1.5)"):
+        assert sum(tag in ln for ln in lines) == 4
 
 
 def test_verify_larger_alphabet(capsys):
@@ -381,3 +385,24 @@ def test_python_m_matches_in_process(capsys):
                           capture_output=True, text=True)
     assert code == proc.returncode == 0
     assert proc.stdout == out
+
+
+def test_cached_parser_carries_no_state(capsys, monkeypatch):
+    # Help is wrapped to the terminal width, read when it is formatted; fix it
+    # for both this process and the child interpreters.
+    monkeypatch.setenv("COLUMNS", "80")
+    bad = ("sweep", "--alpha2-min", "x", "--n", "3", "--alpha2-max", "1",
+           "--steps", "2", "--out", "y.csv")
+    sequence = [bad, ("report", "--n", "3", "--alpha2", "1.0"),
+                ("verify", "--n", "4", "--alpha2", "2.0"),
+                ("--help",), ("verify", "--help"), bad]
+    fresh = {}
+    for argv in sequence:
+        if argv not in fresh:
+            proc = subprocess.run([sys.executable, "-m", "cvdisc", *argv],
+                                  capture_output=True, text=True)
+            fresh[argv] = (proc.returncode, proc.stdout, proc.stderr)
+        assert run(capsys, *argv) == fresh[argv]
+    assert [fresh[argv][0] for argv in sequence] == [2, 0, 0, 0, 0, 2]
+    assert cli._build_parser.cache_info().misses == 1
+    assert cli._build_parser() is cli._build_parser()

@@ -1,5 +1,6 @@
 """Coefficient profile, Gram matrix, and truncated Fock amplitudes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -255,3 +256,69 @@ def test_fock_cap_is_fixed():
     assert 3500 < amp.cutoff <= FOCK_CAP
     with pytest.raises(CutoffOverflow, match="no cutoff <= 4096 "):
         basis_amplitudes(EnsembleSpec(3, 4000.0), 1e-12)
+
+
+def full_scan_basis(spec, tail_eps):
+    """Reference for basis_amplitudes: one gammainc pass over every candidate
+    cutoff N-1..FOCK_CAP, first hit, then the same log-space amplitudes."""
+    n, a2 = spec.n_states, spec.alpha_sq
+    c = coefficients(spec).c
+    candidates = np.arange(n - 1, FOCK_CAP + 1)
+    tails = special.gammainc(candidates + 1.0, a2) if a2 > 0 else np.zeros(candidates.size)
+    below = np.nonzero(tails < tail_eps)[0]
+    if below.size == 0:
+        raise CutoffOverflow(f"no cutoff <= {FOCK_CAP} reaches tail mass {tail_eps} "
+                             f"at alpha_sq={a2}")
+    n_max = int(candidates[below[0]])
+    log_alpha = 0.5 * math.log(a2) if a2 > 0 else -math.inf
+    amps = np.zeros((n, n_max + 1))
+    for j in range(n):
+        if c[j] == 0.0:
+            continue
+        ns = np.arange(j, n_max + 1, n)
+        with np.errstate(invalid="ignore"):
+            log_pow = np.where(ns == 0, 0.0, ns * log_alpha)
+        amps[j, ns] = np.exp(-0.5 * a2 + log_pow - 0.5 * special.gammaln(ns + 1.0)
+                             - math.log(c[j]))
+    return n_max, float(tails[below[0]]), amps_key(amps)
+
+
+def amps_key(amps):
+    """Shape, dtype and a digest of amps.tobytes(), read in place: at N=4097
+    the array is 128 MiB, so only one is held at a time."""
+    return amps.shape, amps.dtype, hashlib.sha256(np.ascontiguousarray(amps).data).digest()
+
+
+def assert_matches_full_scan(n, alpha_sq, tail_eps):
+    spec = EnsembleSpec(n, alpha_sq)
+    try:
+        expect = full_scan_basis(spec, tail_eps)
+    except CutoffOverflow as exc:
+        with pytest.raises(CutoffOverflow) as got:
+            basis_amplitudes(spec, tail_eps)
+        assert str(got.value) == str(exc)
+        return None
+    amp = basis_amplitudes(spec, tail_eps)
+    assert (amp.cutoff, amp.tail_mass, amps_key(amp.amps)) == expect
+    return amp.cutoff
+
+
+@pytest.mark.parametrize("tail_eps", [1e-6, 1e-12, 1e-300])
+@pytest.mark.parametrize("alpha_sq", [0.0, 1e-300, 8.0, 3500.0, 4000.0, 1e5])
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 1024, 4097, 4098])
+def test_cutoff_search_matches_full_scan(n, alpha_sq, tail_eps):
+    assert_matches_full_scan(n, alpha_sq, tail_eps)
+
+
+# Cutoffs on the edges of the scan's blocks for N=2 (candidates from 1, in
+# blocks of 64, 128, 256, ...): the last and first candidate of the first
+# three blocks, the first of the block cut at FOCK_CAP, and FOCK_CAP itself.
+@pytest.mark.parametrize("alpha_sq,cutoff", [
+    (8.0, 64), (8.0, 65), (8.0, 192), (8.0, 193),
+    (3500.0, 4032), (3500.0, 4033), (3500.0, FOCK_CAP),
+])
+def test_cutoff_search_block_edges(alpha_sq, cutoff):
+    # The smallest tail_eps above the tail at `cutoff` makes it the first hit.
+    tail_eps = float(np.nextafter(special.gammainc(cutoff + 1.0, alpha_sq), np.inf))
+    assert tail_eps <= 1e-6
+    assert assert_matches_full_scan(2, alpha_sq, tail_eps) == cutoff
