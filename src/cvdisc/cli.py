@@ -108,9 +108,11 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 
 def _point_values(n: int, alpha_sq: float) -> dict[str, float | int]:
     """Every figure of one point, from a single coefficients call: the fields
-    of ir_report and info_report plus n_states, alpha_sq and failure_dim."""
-    profile = coefficients(EnsembleSpec(n, alpha_sq))
-    return {"n_states": n, "alpha_sq": alpha_sq,
+    of ir_report and info_report plus n_states, alpha_sq and failure_dim.
+    alpha_sq is the spec's, so -0 prints as 0."""
+    spec = EnsembleSpec(n, alpha_sq)
+    profile = coefficients(spec)
+    return {"n_states": n, "alpha_sq": spec.alpha_sq,
             **vars(discrim._ir_report(profile)),
             **vars(infotheory._info_report(profile)),
             "failure_dim": profile.failure_dim}

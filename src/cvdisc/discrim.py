@@ -228,8 +228,12 @@ def _joint(profile: CoefficientProfile) -> JointDistribution:
                                  failure=_frozen(np.zeros((n, n))))
     p_s = profile.p_s
     shift_vals = (1.0 - p_s) * _failure_spectrum(profile.b)   # one per (k' - k) mod N
-    idx = np.arange(n)
-    failure = shift_vals[(idx[:, None] - idx[None, :]) % n]
-    success = np.eye(n) * p_s
+    # failure[k', k] = shift_vals[(k' - k) mod N] = twice[N + k' - k]: a view
+    # into two copies of shift_vals that starts at element N and steps +1 per
+    # row and -1 per column, copied out.
+    twice = np.concatenate((shift_vals, shift_vals))
+    step = twice.itemsize
+    failure = np.ndarray((n, n), twice.dtype, twice, n * step, (step, -step)).copy()
+    success = np.diag(np.full(n, p_s))
     return JointDistribution(success=_frozen(success), failure=_frozen(failure))
 

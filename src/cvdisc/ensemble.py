@@ -11,6 +11,7 @@ and the Fock-space amplitudes of the basis vectors.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -42,7 +43,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Parameters of the alphabet: state count N and mean photon number."""
+    """Parameters of the alphabet: state count N and mean photon number.
+
+    alpha_sq is stored as a float, with -0.0 stored as 0.0. The spec is a
+    value: ==, hash, repr and pickling see only these two fields. It also
+    carries its coefficient profile, evaluated on first use: one evaluation
+    per spec object, shared by every call that is handed the same spec (see
+    coefficients).
+    """
 
     n_states: int
     alpha_sq: float
@@ -61,7 +69,52 @@ class EnsembleSpec:
         if a2 > MAX_ALPHA_SQ:
             raise DomainError(f"alpha_sq must be <= {MAX_ALPHA_SQ:g}, got {a2}")
         object.__setattr__(self, "n_states", int(self.n_states))
-        object.__setattr__(self, "alpha_sq", a2)
+        object.__setattr__(self, "alpha_sq", a2 + 0.0)   # -0.0 + 0.0 is 0.0
+
+    def __getstate__(self) -> dict:
+        # Pickle and copy the fields only: a profile is rebuilt on first use,
+        # and unpickled arrays would come back writeable.
+        return {"n_states": self.n_states, "alpha_sq": self.alpha_sq}
+
+    @functools.cached_property
+    def _profile(self) -> CoefficientProfile:
+        """The body of coefficients(), run once per spec object: the
+        cached_property stores its result in the instance __dict__, which
+        the frozen dataclass leaves writeable."""
+        n = self.n_states
+        a2 = self.alpha_sq
+        c_sq = _fold(np.longdouble(a2), n, math.floor(a2), n + math.ceil(12.0 * math.sqrt(a2)) + 40)
+
+        c = np.sqrt(c_sq)
+        c_min_sq = float(c_sq.min())
+        band = DEGENERACY_TOL * max(c_min_sq, 1e-300)
+        gaps = c_sq - c_min_sq
+        degenerate_mask = gaps <= band
+        near_band_edge = bool(((gaps >= band / 10.0) & (gaps <= band * 10.0)).any())
+
+        c_min = math.sqrt(c_min_sq)
+        multiplicity = int(degenerate_mask.sum())
+        p_s = n * c_min ** 2
+        b = None
+        if _empty_branch(n, p_s, multiplicity) is None:
+            # Clamp before the square root: rounding can land c_j^2 - p_s/N
+            # near -1e-17 on entries that are analytically zero.
+            raw = (c_sq - p_s / n) / (1.0 - p_s)
+            raw[degenerate_mask] = 0.0
+            b = _frozen(np.sqrt(np.maximum(raw, 0.0)))
+
+        return CoefficientProfile(
+            c_sq=_frozen(c_sq),
+            c=_frozen(c),
+            c_min=c_min,
+            multiplicity=multiplicity,
+            degenerate_mask=_frozen(degenerate_mask),
+            degenerate=int(np.count_nonzero(c_sq)) == 1,
+            near_band_edge=near_band_edge,
+            p_s=p_s,
+            b=b,
+            failure_dim=n - multiplicity,
+        )
 
 
 @dataclass(frozen=True)
@@ -159,41 +212,13 @@ def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
     DEGENERACY_TOL * max(c_min^2, 1e-300) of c_min^2 count toward the
     multiplicity. coefficient_grid gives the same c_sq, p_s, b and
     failure decision, bit for bit, for many alpha^2 at once.
+
+    One evaluation per spec object: the profile is computed on the first
+    call and kept on the spec, so every later call with the same spec object
+    returns the same frozen CoefficientProfile. Equal but distinct specs
+    each evaluate once, to bitwise-equal profiles.
     """
-    n = spec.n_states
-    a2 = spec.alpha_sq
-    c_sq = _fold(np.longdouble(a2), n, math.floor(a2), n + math.ceil(12.0 * math.sqrt(a2)) + 40)
-
-    c = np.sqrt(c_sq)
-    c_min_sq = float(c_sq.min())
-    band = DEGENERACY_TOL * max(c_min_sq, 1e-300)
-    gaps = c_sq - c_min_sq
-    degenerate_mask = gaps <= band
-    near_band_edge = bool(((gaps >= band / 10.0) & (gaps <= band * 10.0)).any())
-
-    c_min = math.sqrt(c_min_sq)
-    multiplicity = int(degenerate_mask.sum())
-    p_s = n * c_min ** 2
-    b = None
-    if _empty_branch(n, p_s, multiplicity) is None:
-        # Clamp before the square root: rounding can land c_j^2 - p_s/N near
-        # -1e-17 on entries that are analytically zero.
-        raw = (c_sq - p_s / n) / (1.0 - p_s)
-        raw[degenerate_mask] = 0.0
-        b = _frozen(np.sqrt(np.maximum(raw, 0.0)))
-
-    return CoefficientProfile(
-        c_sq=_frozen(c_sq),
-        c=_frozen(c),
-        c_min=c_min,
-        multiplicity=multiplicity,
-        degenerate_mask=_frozen(degenerate_mask),
-        degenerate=int(np.count_nonzero(c_sq)) == 1,
-        near_band_edge=near_band_edge,
-        p_s=p_s,
-        b=b,
-        failure_dim=n - multiplicity,
-    )
+    return spec._profile
 
 
 def coefficient_grid(n: int, alpha_sq) -> Iterator[CoefficientBlock]:

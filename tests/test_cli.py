@@ -91,6 +91,14 @@ def test_report_evaluates_coefficients_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", [("report", "--n", "3"), ("n3",)])
+def test_negative_zero_alpha_prints_as_zero(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--alpha2", "-0")
+    assert code == 0
+    assert parse_report(out)["alpha_sq"] == "0"
+    assert run(capsys, *argv, "--alpha2", "0") == (0, out, "")
+
+
 @pytest.mark.parametrize("argv", [
     ("report", "--n", "1", "--alpha2", "1.0"),
     ("report", "--n", "3", "--alpha2", "-1"),
@@ -253,14 +261,15 @@ def test_mc_statistical_flag_exit_4(capsys):
 
 
 def test_mc_reuses_the_sampled_joint(capsys, monkeypatch):
-    # simulate builds the joint from its one coefficient profile and returns
-    # it; only ir_report, for the analytic summary lines, evaluates another.
-    coefficient_calls = count_calls(monkeypatch, ensemble.coefficients)
+    # simulate builds the joint from the spec's coefficient profile and
+    # returns it; ir_report, for the analytic summary lines, reads the same
+    # profile, so the point costs one coefficient evaluation.
+    folds = count_calls(monkeypatch, ensemble._fold)
     joint_calls = count_calls(monkeypatch, discrim.joint_distribution)
     code, _, _ = run(capsys, "mc", "--n", "3", "--alpha2", "1.0",
                      "--shots", "1000", "--seed", "1")
     assert code == 0
-    assert len(coefficient_calls) == 2
+    assert len(folds) == 1
     assert len(joint_calls) <= 1
 
 
@@ -325,6 +334,15 @@ def test_verify_multiple_points(capsys):
     assert all(ln.startswith("PASS ") for ln in lines)
     for tag in ("(n=3, alpha_sq=0.5)", "(n=3, alpha_sq=1.5)"):
         assert sum(tag in ln for ln in lines) == 4
+
+
+def test_verify_evaluates_coefficients_once_per_point(capsys, monkeypatch):
+    # Both workspaces, the Fock amplitudes and ir_report read the one
+    # profile of each point's spec.
+    folds = count_calls(monkeypatch, ensemble._fold)
+    code, _, _ = run(capsys, "verify", "--n", "3", "--alpha2", "1,2")
+    assert code == 0
+    assert len(folds) == 2
 
 
 def test_verify_larger_alphabet(capsys):

@@ -12,6 +12,7 @@ from cvdisc import (
     FullSeparation,
     build_workspace,
     coefficients,
+    discrim,
     failure_med,
     failure_posterior,
     failure_profile,
@@ -293,6 +294,26 @@ def test_joint_is_circulant():
     np.testing.assert_allclose(jd.failure,
                                jd.failure[(idx[:, None] - idx[None, :]) % 5, 0],
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,alpha_sq", [
+    (2, 0.7), (3, 1.0), (8, 2.5), (64, 50.0), (1024, 300.0), (3, 45.0),
+])
+def test_joint_blocks_are_the_indexed_forms(n, alpha_sq):
+    # (3, 45) separates fully: its blocks are the limits identity and zero.
+    spec = EnsembleSpec(n, alpha_sq)
+    profile = coefficients(spec)
+    p_s, shift = 1.0, np.zeros(n)
+    if profile.b is not None:
+        p_s = profile.p_s
+        shift = (1.0 - p_s) * discrim._failure_spectrum(profile.b)
+    idx = np.arange(n)
+    jd = joint_distribution(spec)
+    for block, expected in ((jd.failure, shift[(idx[:, None] - idx[None, :]) % n]),
+                            (jd.success, np.eye(n) * p_s)):
+        assert block.dtype == expected.dtype and block.tobytes() == expected.tobytes()
+        assert block.flags.c_contiguous and block.flags.owndata
+        assert block.base is None and not block.flags.writeable
 
 
 def test_joint_full_separation_collapses():

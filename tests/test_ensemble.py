@@ -1,19 +1,28 @@
 """Coefficient profile, Gram matrix, and truncated Fock amplitudes."""
 
+import copy
+import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy import special
 
 from cvdisc import (
+    CoefficientProfile,
     CutoffOverflow,
     DomainError,
     EnsembleSpec,
     basis_amplitudes,
+    build_workspace,
     coefficients,
+    ensemble,
     gram,
+    info_report,
+    ir_report,
+    joint_distribution,
 )
 from cvdisc.analytic3 import KINK_PERIOD
 from cvdisc.ensemble import FOCK_CAP
@@ -53,6 +62,12 @@ def test_spec_normalizes_types():
     spec = EnsembleSpec(np.int64(4), np.float64(2.0))
     assert isinstance(spec.n_states, int)
     assert isinstance(spec.alpha_sq, float)
+
+
+def test_spec_drops_the_sign_of_zero():
+    spec = EnsembleSpec(3, -0.0)
+    assert math.copysign(1.0, spec.alpha_sq) == 1.0
+    assert repr(spec) == repr(EnsembleSpec(3, 0.0))
 
 
 # --- coefficients ----------------------------------------------------------
@@ -141,6 +156,69 @@ def test_profile_arrays_are_immutable():
     profile = coefficients(EnsembleSpec(3, 1.0))
     with pytest.raises(ValueError):
         profile.c_sq[0] = 0.5
+
+
+# --- one evaluation per spec -------------------------------------------------
+
+
+def bitwise_equal_profiles(p, q):
+    for field in dataclasses.fields(CoefficientProfile):
+        x, y = getattr(p, field.name), getattr(q, field.name)
+        if x is None or y is None:
+            assert x is y, field.name
+        else:
+            x, y = np.asarray(x), np.asarray(y)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
+
+
+def count_folds(monkeypatch):
+    """Count the evaluations of the coefficient fold, one per profile."""
+    calls = []
+    fold = ensemble._fold
+
+    def counting(*args):
+        calls.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(ensemble, "_fold", counting)
+    return calls
+
+
+def test_every_view_of_one_spec_shares_one_evaluation(monkeypatch):
+    folds = count_folds(monkeypatch)
+    spec = EnsembleSpec(4, 2.0)
+    ir_report(spec)
+    info_report(spec)
+    joint_distribution(spec)
+    build_workspace(spec, "phi")
+    build_workspace(spec, "fock")
+    assert len(folds) == 1
+    # An equal but distinct spec is a new object with its own evaluation.
+    coefficients(EnsembleSpec(4, 2.0))
+    assert len(folds) == 2
+
+
+@pytest.mark.parametrize("n,alpha_sq", [(5, 1.5), (3, 0.0), (3, 45.0), (64, 50.0)])
+def test_the_memo_leaves_the_spec_a_value(n, alpha_sq):
+    spec = EnsembleSpec(n, alpha_sq)
+    before = (repr(spec), hash(spec), dataclasses.asdict(spec), pickle.dumps(spec))
+    profile = coefficients(spec)
+    assert coefficients(spec) is profile
+    assert (repr(spec), hash(spec), dataclasses.asdict(spec), pickle.dumps(spec)) == before
+    assert repr(spec) == f"EnsembleSpec(n_states={n}, alpha_sq={float(alpha_sq)!r})"
+
+    twin = EnsembleSpec(n, alpha_sq)
+    assert twin == spec and twin is not spec
+    assert coefficients(twin) is not profile
+    bitwise_equal_profiles(coefficients(twin), profile)
+
+    for clone in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert clone == spec and hash(clone) == hash(spec)
+        assert coefficients(clone) is not profile
+        bitwise_equal_profiles(coefficients(clone), profile)
+
+    for arr in (profile.c_sq, profile.c, profile.degenerate_mask, profile.b):
+        assert arr is None or not arr.flags.writeable
 
 
 # --- gram ------------------------------------------------------------------
