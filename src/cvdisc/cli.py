@@ -4,11 +4,11 @@ closed-form solver, and oracle verification.
 Exit codes: 0 success, 2 argument/domain error, 3 I/O failure, 4 statistical
 flag (a Monte Carlo cell beyond 6 sigma), 5 certification failure.
 
-report prints a view of one record per point: _point_values makes a single
-coefficients call and collects both reports from it. sweep makes one
-coefficient_grid call over its whole alpha^2 grid and writes each block of
-rows from the column views ir_columns and info_columns, one format string
-per CSV row.
+report prints a view of one record per point: _point_values collects both
+reports from one spec, whose coefficient profile is evaluated once. sweep
+makes one coefficient_grid call over its whole alpha^2 grid and writes each
+block of rows from the column views ir_columns and info_columns, one format
+string per CSV row.
 
 The argparse parser is built once per process, on the first main call, and
 reused: parsing does not change it.
@@ -107,15 +107,14 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 
 
 def _point_values(n: int, alpha_sq: float) -> dict[str, float | int]:
-    """Every figure of one point, from a single coefficients call: the fields
-    of ir_report and info_report plus n_states, alpha_sq and failure_dim.
-    alpha_sq is the spec's, so -0 prints as 0."""
+    """Every figure of one point, from one spec and so one coefficient
+    evaluation: the fields of ir_report and info_report plus n_states,
+    alpha_sq and failure_dim. alpha_sq is the spec's, so -0 prints as 0."""
     spec = EnsembleSpec(n, alpha_sq)
-    profile = coefficients(spec)
     return {"n_states": n, "alpha_sq": spec.alpha_sq,
-            **vars(discrim._ir_report(profile)),
-            **vars(infotheory._info_report(profile)),
-            "failure_dim": profile.failure_dim}
+            **vars(discrim.ir_report(spec)),
+            **vars(infotheory.info_report(spec)),
+            "failure_dim": coefficients(spec).failure_dim}
 
 
 def _cell(val: float | int, spec: str) -> str:

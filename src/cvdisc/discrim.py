@@ -160,11 +160,7 @@ def ir_report(spec: EnsembleSpec) -> DiscriminationReport:
     and its failure state, and 1 - F/p_c_med lower-bounds the failure-set
     error probability.
     """
-    return _ir_report(coefficients(spec))
-
-
-def _ir_report(profile: CoefficientProfile) -> DiscriminationReport:
-    """ir_report as a view of one coefficient profile."""
+    profile = coefficients(spec)
     empty = profile.b is None
     b = np.full(profile.n_states, math.nan) if empty else profile.b
     figures = _ir_figures(profile.c, b, profile.p_s, empty)
@@ -215,11 +211,6 @@ def joint_distribution(spec: EnsembleSpec) -> JointDistribution:
     profile = coefficients(spec)
     if profile.degenerate:
         raise DegenerateEnsemble("joint distribution undefined for a single-state alphabet")
-    return _joint(profile)
-
-
-def _joint(profile: CoefficientProfile) -> JointDistribution:
-    """joint_distribution as a view of one non-degenerate coefficient profile."""
     n = profile.n_states
     if profile.b is None:
         # The declared failure branch is empty, so the success block carries

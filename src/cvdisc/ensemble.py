@@ -7,6 +7,10 @@ finite-sum decomposition of the alphabet: the amplitude coefficients c_j over
 the symmetric orthonormal basis together with the separation success
 probability and failure profile they fix, the Gram matrix of mutual overlaps,
 and the Fock-space amplitudes of the basis vectors.
+
+scipy is loaded only by the Fock route: basis_amplitudes, which
+build_workspace(..., "fock") and cvdisc verify call. Every other path needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import CutoffOverflow, DomainError
 
@@ -366,6 +369,9 @@ def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     """
     if not (0.0 < tail_eps <= 1e-6):
         raise DomainError(f"tail_eps must be in (0, 1e-6], got {tail_eps}")
+    # Imported here: scipy.special costs more than the rest of cvdisc to load.
+    from scipy import special
+
     n = spec.n_states
     a2 = spec.alpha_sq
     profile = coefficients(spec)
@@ -387,16 +393,15 @@ def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     n_max = int(candidates[below[0]])
     tail_mass = float(tails[below[0]])
 
+    # Every n in one pass, on row n mod N. A row whose c_j is 0 takes
+    # log c_j = inf, so its log amplitudes are -inf and it stays zero.
     log_alpha = 0.5 * math.log(a2) if a2 > 0 else -math.inf
+    log_c = np.array([math.log(c) if c > 0.0 else math.inf for c in profile.c.tolist()])
+    ns = np.arange(n_max + 1)
+    rows = ns % n
+    with np.errstate(invalid="ignore"):
+        log_pow = np.where(ns == 0, 0.0, ns * log_alpha)
     amps = np.zeros((n, n_max + 1))
-    for j in range(n):
-        if profile.c[j] == 0.0:
-            continue
-        ns = np.arange(j, n_max + 1, n)
-        with np.errstate(invalid="ignore"):
-            log_pow = np.where(ns == 0, 0.0, ns * log_alpha)
-        log_amp = -0.5 * a2 + log_pow - 0.5 * special.gammaln(ns + 1.0) \
-            - math.log(profile.c[j])
-        amps[j, ns] = np.exp(log_amp)
+    amps[rows, ns] = np.exp(-0.5 * a2 + log_pow - 0.5 * special.gammaln(ns + 1.0) - log_c[rows])
 
     return BasisAmplitudes(cutoff=n_max, amps=_frozen(amps), tail_mass=tail_mass)

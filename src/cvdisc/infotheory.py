@@ -78,11 +78,7 @@ def info_report(spec: EnsembleSpec) -> InfoReport:
     and i_ir = log2(N) by the empty-failure-branch limit. The vacuum alphabet
     passes through with i_ud = i_ir = 0.
     """
-    return _info_report(coefficients(spec))
-
-
-def _info_report(profile: CoefficientProfile) -> InfoReport:
-    """info_report as a view of one coefficient profile."""
+    profile = coefficients(spec)
     empty = profile.b is None
     b = np.full(profile.n_states, math.nan) if empty else profile.b
     figures = _info_figures(b, profile.p_s, empty)

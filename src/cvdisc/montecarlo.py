@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrim import JointDistribution, _joint
+from .discrim import JointDistribution, joint_distribution
 from .ensemble import EnsembleSpec, _frozen, coefficients
 from .errors import DegenerateEnsemble, DomainError
 
@@ -81,11 +81,10 @@ def simulate(config: MCConfig) -> MCResult:
     separating alphabet has a zero failure block, so every shot succeeds.
     """
     spec = config.spec
-    profile = coefficients(spec)
-    if profile.degenerate:
+    if coefficients(spec).degenerate:
         raise DegenerateEnsemble("simulation undefined for a single-state alphabet")
     n = spec.n_states
-    joint = _joint(profile)
+    joint = joint_distribution(spec)
 
     cells = np.stack([joint.success.T, joint.failure.T], axis=-1).reshape(n, 2 * n)
     cells /= cells.sum(axis=1, keepdims=True)

@@ -85,10 +85,14 @@ def test_report_larger_alphabet(capsys):
 
 
 def test_report_evaluates_coefficients_once(capsys, monkeypatch):
+    # ir_report, info_report and failure_dim each read the profile of one
+    # spec object, which evaluates the coefficients once.
     calls = count_calls(monkeypatch, ensemble.coefficients)
+    folds = count_calls(monkeypatch, ensemble._fold)
     code, _, _ = run(capsys, "report", "--n", "5", "--alpha2", "1.5")
     assert code == 0
-    assert len(calls) == 1
+    assert len({id(spec) for spec, in calls}) == 1
+    assert len(folds) == 1
 
 
 @pytest.mark.parametrize("argv", [("report", "--n", "3"), ("n3",)])

@@ -9,11 +9,11 @@ from cvdisc import (
     coefficient_grid,
     coefficients,
     info_columns,
+    info_report,
     ir_columns,
+    ir_report,
 )
-from cvdisc.discrim import _ir_report
 from cvdisc.ensemble import GRID_BLOCK, MAX_ALPHA_SQ, _fold
-from cvdisc.infotheory import _info_report
 
 PROFILE_FIELDS = ("c_sq", "c", "c_min", "multiplicity", "degenerate_mask", "p_s",
                   "failure_dim")
@@ -59,16 +59,17 @@ def test_grid_rows_equal_the_one_point_path(n):
     for (block, r, ir_col, info_col), a2 in zip(rows, values):
         where = f"n={n} alpha_sq={a2!r}"
         assert block.alpha_sq[r] == a2, where
-        profile = coefficients(EnsembleSpec(n, float(a2)))
+        spec = EnsembleSpec(n, float(a2))
+        profile = coefficients(spec)
         for field in PROFILE_FIELDS:
             assert same_bits(getattr(block, field)[r], getattr(profile, field)), (where, field)
         assert block.full_separation[r] == (profile.b is None), where
         expect_b = np.full(n, np.nan) if profile.b is None else profile.b
         assert same_bits(block.b[r], expect_b), (where, "b")
-        for name, value in vars(_ir_report(profile)).items():
+        for name, value in vars(ir_report(spec)).items():
             assert same_bits(np.broadcast_to(ir_col[name], block.p_s.shape)[r], value), \
                 (where, name)
-        for name, value in vars(_info_report(profile)).items():
+        for name, value in vars(info_report(spec)).items():
             assert same_bits(info_col[name][r], value), (where, name)
 
 

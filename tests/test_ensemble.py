@@ -25,7 +25,7 @@ from cvdisc import (
     joint_distribution,
 )
 from cvdisc.analytic3 import KINK_PERIOD
-from cvdisc.ensemble import FOCK_CAP
+from cvdisc.ensemble import FOCK_CAP, TAIL_EPS
 
 # Independently derived at (N=3, alpha^2=1) from Poisson block sums.
 C_SQ_3_1 = [0.429704639580390, 0.383280844609673, 0.187014515809936]
@@ -338,7 +338,8 @@ def test_fock_cap_is_fixed():
 
 def full_scan_basis(spec, tail_eps):
     """Reference for basis_amplitudes: one gammainc pass over every candidate
-    cutoff N-1..FOCK_CAP, first hit, then the same log-space amplitudes."""
+    cutoff N-1..FOCK_CAP, first hit, then the same log-space amplitudes
+    computed one row j at a time on its ladder n = j + p*N."""
     n, a2 = spec.n_states, spec.alpha_sq
     c = coefficients(spec).c
     candidates = np.arange(n - 1, FOCK_CAP + 1)
@@ -386,6 +387,15 @@ def assert_matches_full_scan(n, alpha_sq, tail_eps):
 @pytest.mark.parametrize("n", [2, 3, 8, 64, 1024, 4097, 4098])
 def test_cutoff_search_matches_full_scan(n, alpha_sq, tail_eps):
     assert_matches_full_scan(n, alpha_sq, tail_eps)
+
+
+@pytest.mark.parametrize("alpha_sq", [0.0, 1e-3, 0.01, 0.5, 0.63, 1.0, 1.9, 4.1, 5.9,
+                                      8.0, 20.0, 64.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 16, 32, 128])
+def test_amplitudes_match_the_row_loop(n, alpha_sq):
+    # At the default tail target, where verify builds its Fock workspaces;
+    # tiny alpha^2 at large N leaves rows whose c_j underflows to 0.
+    assert assert_matches_full_scan(n, alpha_sq, TAIL_EPS) is not None
 
 
 # Cutoffs on the edges of the scan's blocks for N=2 (candidates from 1, in

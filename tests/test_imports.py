@@ -1,6 +1,11 @@
-"""Source hygiene: every imported name in src/ and tests/ is referenced."""
+"""Source hygiene: every imported name in src/ and tests/ is referenced, and
+only the Fock route loads scipy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,3 +47,35 @@ def test_detects_an_unused_import(tmp_path):
                       "import os\nimport numpy as np\nfrom math import pi, tau\n"
                       "print(np.pi, tau)\n")
     assert unused_imports(module) == [(2, "os"), (4, "pi")]
+
+
+def modules_after(*commands):
+    """The scipy modules loaded by a fresh interpreter that imports cvdisc and
+    cvdisc.cli and runs cli.main on each argv in commands, each exiting 0."""
+    script = (
+        "import json, sys\n"
+        "import cvdisc, cvdisc.cli\n"
+        f"codes = [cvdisc.cli.main(argv) for argv in {list(map(list, commands))!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands), proc.stdout
+    return loaded
+
+
+def test_closed_form_commands_do_not_load_scipy(tmp_path):
+    loaded = modules_after(
+        ("report", "--n", "3", "--alpha2", "0.8"),
+        ("sweep", "--n", "3", "--alpha2-min", "0", "--alpha2-max", "2", "--steps", "5",
+         "--out", str(tmp_path / "sweep.csv")),
+        ("mc", "--n", "3", "--alpha2", "1", "--shots", "1000", "--seed", "1"),
+        ("n3", "--alpha2", "1"),
+    )
+    assert loaded == []
+
+
+def test_verify_loads_scipy_special():
+    assert "scipy.special" in modules_after(("verify", "--n", "3", "--alpha2", "1"))
