@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic3, discrim, infotheory, montecarlo, oracle
-from .ensemble import TAIL_EPS, EnsembleSpec, coefficient_grid, coefficients
+from .ensemble import TAIL_EPS, EnsembleSpec, check_tail_eps, coefficient_grid, coefficients
 from .errors import (
     CertificationFailure,
     CutoffOverflow,
@@ -215,6 +215,8 @@ def _fields(report: discrim.DiscriminationReport) -> dict[str, float]:
 
 
 def cmd_verify(n: int, alpha_sq_list: list[float], tail_eps: float) -> int:
+    specs = [EnsembleSpec(n, alpha_sq) for alpha_sq in alpha_sq_list]
+    check_tail_eps(tail_eps)
     all_ok = True
 
     def check(label: str, ok: bool, detail: str) -> None:
@@ -222,9 +224,8 @@ def cmd_verify(n: int, alpha_sq_list: list[float], tail_eps: float) -> int:
         all_ok = all_ok and ok
         print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
 
-    for alpha_sq in alpha_sq_list:
-        spec = EnsembleSpec(n, alpha_sq)
-        tag = f"(n={n}, alpha_sq={_g(alpha_sq)})"
+    for spec in specs:
+        tag = f"(n={n}, alpha_sq={_g(spec.alpha_sq)})"
         ws = oracle.build_workspace(spec, "phi")
 
         for which in ("inputs", "failure_states"):

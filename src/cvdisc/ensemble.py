@@ -86,7 +86,7 @@ class EnsembleSpec:
         the frozen dataclass leaves writeable."""
         n = self.n_states
         a2 = self.alpha_sq
-        c_sq = _fold(np.longdouble(a2), n, math.floor(a2), n + math.ceil(12.0 * math.sqrt(a2)) + 40)
+        c_sq = _fold(a2, n, math.floor(a2))
 
         c = np.sqrt(c_sq)
         c_min_sq = float(c_sq.min())
@@ -208,10 +208,10 @@ def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
 
     c_j^2 is the Poisson weight e^(-alpha^2) alpha^(2k)/k! summed over
     k = j (mod N): running products outward from the mode, over the N terms
-    around it and 12*sqrt(alpha^2) + 40 more on each side, normalised by
-    their total. Every term is positive, so each entry keeps full relative
-    precision down to underflow; np.longdouble, where it is wider than a
-    double, makes the entries correctly rounded. Entries within
+    around it and 12*sqrt(floor(alpha^2) + 1) + 40 more on each side,
+    normalised by their total. Every term is positive, so each entry keeps
+    full relative precision down to underflow; np.longdouble, where it is
+    wider than a double, makes the entries correctly rounded. Entries within
     DEGENERACY_TOL * max(c_min^2, 1e-300) of c_min^2 count toward the
     multiplicity. coefficient_grid gives the same c_sq, p_s, b and
     failure decision, bit for bit, for many alpha^2 at once.
@@ -248,46 +248,39 @@ def coefficient_grid(n: int, alpha_sq) -> Iterator[CoefficientBlock]:
 
 def _fold_runs(a2: np.ndarray, n: int) -> np.ndarray:
     """c_sq for every alpha^2 in a2: one _fold per run of consecutive values
-    sharing the Poisson mode floor(alpha^2), split so that a fold holds at
-    most GRID_BLOCK terms."""
+    sharing the Poisson mode floor(alpha^2), and so sharing one window,
+    split so that a fold holds at most GRID_BLOCK terms."""
     modes = np.floor(a2)
-    halves = (n + np.ceil(12.0 * np.sqrt(a2)) + 40).astype(np.int64)
     c_sq = np.empty((a2.size, n))
     cuts = (np.flatnonzero(np.diff(modes)) + 1).tolist()
-    a2_long = a2.astype(np.longdouble)
     for lo, hi in zip([0, *cuts], [*cuts, a2.size]):
+        mode = int(modes[lo])
         # A fold spans fewer than 2 * half + 2 * N terms per row.
-        step = max(1, GRID_BLOCK // (2 * int(halves[lo:hi].max()) + 2 * n))
+        step = max(1, GRID_BLOCK // (2 * _half(n, mode) + 2 * n))
         for s in range(lo, hi, step):
             e = min(hi, s + step)
-            c_sq[s:e] = _fold(a2_long[s:e], n, int(modes[lo]), halves[s:e])
+            c_sq[s:e] = _fold(a2[s:e], n, mode)
     return c_sq
 
 
-def _fold(a2: np.ndarray, n: int, mode: int, half) -> np.ndarray:
-    """c_sq (..., N) for np.longdouble alpha^2 values a2 (...) whose Poisson
-    mode is mode: the terms k in [mode - half, mode + half], widened to
-    whole multiples of N, summed mod N.
+def _half(n: int, mode: int) -> int:
+    """Fold half-width: 12*sqrt(alpha^2) + 40 past N for all alpha^2 in [mode, mode + 1)."""
+    return n + math.ceil(12.0 * math.sqrt(mode + 1)) + 40
 
-    half is one int, or one int per row of a column a2. Then the running
-    products span the widest window and each row's terms outside its own
-    window are zeroed: the products from the mode agree term by term with
-    the row's own fold, and adding exact zeros changes no sum, so every row
-    is bit for bit its own fold.
-    """
-    per_row = isinstance(half, np.ndarray)
-    top = int(half.max()) if per_row else half
-    low = max(0, mode - top) // n * n
-    high = -(-(mode + top + 1) // n) * n
-    a2 = a2[..., None]
+
+def _fold(a2: float | np.ndarray, n: int, mode: int) -> np.ndarray:
+    """c_sq (..., N) for alpha^2 values a2 (...) whose Poisson mode is mode,
+    folded in np.longdouble: the terms k in [mode - half, mode + half] with
+    half = _half(n, mode), widened to whole multiples of N, summed mod N. The
+    window depends on N and the mode only, so every row of a run folds
+    exactly as its own one-point fold does."""
+    half = _half(n, mode)
+    low = max(0, mode - half) // n * n
+    high = -(-(mode + half + 1) // n) * n
+    a2 = np.asarray(a2, np.longdouble)[..., None]
     up = np.cumprod(a2 / np.arange(mode + 1, high, dtype=np.longdouble), axis=-1)
     down = np.cumprod(np.arange(mode, low, -1, dtype=np.longdouble) / a2, axis=-1)
     weights = np.concatenate((down[..., ::-1], np.ones(a2.shape, np.longdouble), up), axis=-1)
-    if per_row:
-        k = np.arange(low, high)
-        lows = np.maximum(0, mode - half) // n * n
-        highs = -(-(mode + half + 1) // n) * n
-        weights[(k < lows[:, None]) | (k >= highs[:, None])] = 0.0
     sums = weights.reshape(*a2.shape[:-1], -1, n).sum(axis=-2)   # [..., p, j]: k = low + p*N + j
     return (sums / sums.sum(axis=-1, keepdims=True)).astype(float)
 
@@ -356,6 +349,12 @@ def gram(spec: EnsembleSpec) -> np.ndarray:
     return _frozen(entries)
 
 
+def check_tail_eps(tail_eps: float) -> None:
+    """Raise DomainError unless the Poisson tail target lies in (0, 1e-6]."""
+    if not (0.0 < tail_eps <= 1e-6):
+        raise DomainError(f"tail_eps must be in (0, 1e-6], got {tail_eps}")
+
+
 def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     """Fock amplitudes <n|phi_j> = exp(-alpha^2/2) * alpha^n / (c_j * sqrt(n!))
     on the ladder n = j + p*N. A row whose c_j underflows to 0 stays zero.
@@ -367,8 +366,7 @@ def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     and alpha^n / sqrt(n!) overflows long before that. The cutoff is capped
     at FOCK_CAP; CutoffOverflow is raised when no cutoff up to it suffices.
     """
-    if not (0.0 < tail_eps <= 1e-6):
-        raise DomainError(f"tail_eps must be in (0, 1e-6], got {tail_eps}")
+    check_tail_eps(tail_eps)
     # Imported here: scipy.special costs more than the rest of cvdisc to load.
     from scipy import special
 

@@ -376,6 +376,17 @@ def test_verify_vacuum_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n", "3", "--alpha2", "1,-1"),
+    ("--n", "3", "--alpha2", "1", "--tail-eps", "0.5"),
+])
+def test_verify_usage_errors_precede_results(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_bad_list_exit_2(capsys):
     code, _, _ = run(capsys, "verify", "--n", "3", "--alpha2", "1.0,oops")
     assert code == 2

@@ -1,5 +1,7 @@
 """The alpha^2 grid kernel against the one-point path, bit for bit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,14 @@ PROFILE_FIELDS = ("c_sq", "c", "c_min", "multiplicity", "degenerate_mask", "p_s"
 
 def grid_values(n):
     """Unsorted and sorted alpha^2 values: 0, a seeded draw, dense runs that
-    share a Poisson mode (with one window, so folds split at GRID_BLOCK,
-    and with many), [40, 160] and two far points."""
+    share a Poisson mode (so folds split at GRID_BLOCK), [40, 160], two far
+    points, and mode edges m and the double just below m."""
     rng = np.random.default_rng([20, n])
+    edges = np.array([1.0, 6.0, 41.0, 1000.0])
     return np.concatenate([
         [0.0],
+        edges,
+        np.nextafter(edges, 0.0),
         rng.uniform(0.0, 30.0, 12),
         np.linspace(0.50, 0.55, 40),
         np.linspace(0.0, 0.99, 25),
@@ -73,14 +78,27 @@ def test_grid_rows_equal_the_one_point_path(n):
             assert same_bits(info_col[name][r], value), (where, name)
 
 
-def test_fold_rows_keep_their_own_windows():
-    # Rows folded together over the widest window sum only their own terms:
-    # a row with a narrow window equals its own fold, not the wide one.
-    a2 = np.array([5.5, 5.5], dtype=np.longdouble)
-    rows = _fold(a2, 3, 5, np.array([4, 60]))
-    assert same_bits(rows[0], _fold(a2[0], 3, 5, 4))
-    assert same_bits(rows[1], _fold(a2[1], 3, 5, 60))
-    assert not same_bits(rows[0], rows[1])
+def wide_fold(a2, n, mode):
+    """_fold's running products over a window twice as wide as _fold's."""
+    half = 2 * (n + math.ceil(12.0 * math.sqrt(mode + 1)) + 40)
+    low = max(0, mode - half) // n * n
+    high = -(-(mode + half + 1) // n) * n
+    up = np.cumprod(a2 / np.arange(mode + 1, high, dtype=np.longdouble))
+    down = np.cumprod(np.arange(mode, low, -1, dtype=np.longdouble) / a2)
+    weights = np.concatenate((down[::-1], [np.longdouble(1.0)], up))
+    sums = weights.reshape(-1, n).sum(axis=0)
+    return (sums / sums.sum()).astype(float)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 1024])
+def test_fold_window_holds_every_alpha_sq_of_its_mode(n):
+    # One window per Poisson mode serves the whole of [mode, mode + 1):
+    # doubling it changes no bit at either end of the interval.
+    for mode in (0, 1, 5, 40, 1000, 10 ** 6):
+        for a2 in (mode, mode + 0.5, np.nextafter(mode + 1.0, 0.0)):
+            a2 = np.longdouble(a2)
+            assert math.floor(a2) == mode
+            assert same_bits(_fold(a2, n, mode), wide_fold(a2, n, mode)), (n, float(a2))
 
 
 def test_grid_p_s_on_a_dense_draw():
