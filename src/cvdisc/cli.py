@@ -217,6 +217,13 @@ def _fields(report: discrim.DiscriminationReport) -> dict[str, float]:
 def cmd_verify(n: int, alpha_sq_list: list[float], tail_eps: float) -> int:
     specs = [EnsembleSpec(n, alpha_sq) for alpha_sq in alpha_sq_list]
     check_tail_eps(tail_eps)
+    # build_workspace rejects the vacuum alphabet and an empty failure branch;
+    # both are decided here, from each profile, before the first result line.
+    for spec in specs:
+        profile = coefficients(spec)
+        if profile.degenerate:
+            raise DegenerateEnsemble("separation map undefined for a single-state alphabet")
+        discrim.failure_profile(profile)
     all_ok = True
 
     def check(label: str, ok: bool, detail: str) -> None:

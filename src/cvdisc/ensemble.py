@@ -8,9 +8,14 @@ the symmetric orthonormal basis together with the separation success
 probability and failure profile they fix, the Gram matrix of mutual overlaps,
 and the Fock-space amplitudes of the basis vectors.
 
-scipy is loaded only by the Fock route: basis_amplitudes, which
-build_workspace(..., "fock") and cvdisc verify call. Every other path needs
-numpy alone.
+Everything here needs numpy alone. The coefficients and the Fock route share
+one construction: Poisson weights p_k = e^(-alpha^2) alpha^(2k) / k! as
+running products outward from the mode floor(alpha^2), in np.longdouble. The
+coefficients fold them mod N; basis_amplitudes takes the amplitudes
+<k|phi_j> = sqrt(p_k) / c_j from them and the tails P(X > m) as their suffix
+sums, smallest term first. Where np.longdouble is a plain double, a weight
+loses about |k - mode| ulp, no worse than the log-space route through
+lgamma.
 """
 
 from __future__ import annotations
@@ -277,12 +282,20 @@ def _fold(a2: float | np.ndarray, n: int, mode: int) -> np.ndarray:
     half = _half(n, mode)
     low = max(0, mode - half) // n * n
     high = -(-(mode + half + 1) // n) * n
-    a2 = np.asarray(a2, np.longdouble)[..., None]
-    up = np.cumprod(a2 / np.arange(mode + 1, high, dtype=np.longdouble), axis=-1)
-    down = np.cumprod(np.arange(mode, low, -1, dtype=np.longdouble) / a2, axis=-1)
-    weights = np.concatenate((down[..., ::-1], np.ones(a2.shape, np.longdouble), up), axis=-1)
-    sums = weights.reshape(*a2.shape[:-1], -1, n).sum(axis=-2)   # [..., p, j]: k = low + p*N + j
+    weights = _running_products(np.asarray(a2, np.longdouble)[..., None], mode, low, high)
+    sums = weights.reshape(*weights.shape[:-1], -1, n).sum(axis=-2)   # [..., p, j]: k = low + p*N + j
     return (sums / sums.sum(axis=-1, keepdims=True)).astype(float)
+
+
+def _running_products(a2: np.ndarray, mode: int, low: int, high: int) -> np.ndarray:
+    """Poisson weights of k = low..high-1 relative to the mode's, for the
+    np.longdouble alpha^2 values a2 (..., 1): running products outward from
+    the mode, a2/k going up and k/a2 going down. Every factor is positive,
+    so every weight keeps full relative precision down to underflow.
+    multiply.accumulate is np.cumprod without its Python-level dispatch."""
+    up = np.multiply.accumulate(a2 / np.arange(mode + 1, high, dtype=np.longdouble), axis=-1)
+    down = np.multiply.accumulate(np.arange(mode, low, -1, dtype=np.longdouble) / a2, axis=-1)
+    return np.concatenate((down[..., ::-1], np.ones(a2.shape, np.longdouble), up), axis=-1)
 
 
 def _classify(alpha_sq: np.ndarray, c_sq: np.ndarray) -> CoefficientBlock:
@@ -356,50 +369,79 @@ def check_tail_eps(tail_eps: float) -> None:
 
 
 def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
-    """Fock amplitudes <n|phi_j> = exp(-alpha^2/2) * alpha^n / (c_j * sqrt(n!))
-    on the ladder n = j + p*N. A row whose c_j underflows to 0 stays zero.
+    """Fock amplitudes <k|phi_j> = sqrt(p_k) / c_j on the ladder k = j + p*N,
+    where p_k = e^(-alpha^2) alpha^(2k) / k! is the Poisson weight of the
+    coherent states: |alpha w^m> = sum_j c_j w^(mj) |phi_j> puts the
+    amplitude e^(-alpha^2/2) alpha^k / sqrt(k!) = c_j <k|phi_j> on |k>. A row
+    whose c_j underflows to 0 stays zero.
 
-    The cutoff is the smallest n_max >= N-1 whose Poisson tail mass is below
-    tail_eps. The candidates are scanned in ascending blocks of doubling size
-    (64, 128, ...), and the scan stops at the first block that holds the
-    cutoff. Amplitudes are computed in log space; n_max can reach hundreds
-    and alpha^n / sqrt(n!) overflows long before that. The cutoff is capped
-    at FOCK_CAP; CutoffOverflow is raised when no cutoff up to it suffices.
+    The cutoff is the smallest n_max >= N-1 whose Poisson tail mass
+    P(X > n_max) is below tail_eps, capped at FOCK_CAP; CutoffOverflow is
+    raised when no cutoff up to it suffices. The weights p_k, k = 0..top,
+    are running products outward from the mode floor(alpha^2) in
+    np.longdouble, normalised by their sum, as coefficients() folds them;
+    the tails are their suffix sums, taken smallest term first. The ladder
+    runs _half(0, mode) terms past the cutoff, where the terms it drops add
+    less than 2^-64 of the tail at the cutoff (see _poisson_ladder).
+
+    Where np.longdouble is wider than a double, each p_k is good to a few
+    long-double ulp and each amplitude to about one double ulp. Where it is a
+    plain double, the running products lose about |k - mode| ulp of p_k,
+    which is no worse than evaluating alpha^k / sqrt(k!) in log space.
     """
     check_tail_eps(tail_eps)
-    # Imported here: scipy.special costs more than the rest of cvdisc to load.
-    from scipy import special
-
     n = spec.n_states
     a2 = spec.alpha_sq
-    profile = coefficients(spec)
-
-    # Poisson tail P(X > m) = gammainc(m+1, a2), regularized lower incomplete.
-    # gammainc is elementwise, so the first hit of the first block holding
-    # one is the first hit of a single pass over all candidates.
-    start, size = n - 1, 64
-    while start <= FOCK_CAP:
-        candidates = np.arange(start, min(start + size, FOCK_CAP + 1))
-        tails = special.gammainc(candidates + 1.0, a2) if a2 > 0 else np.zeros(candidates.size)
-        below = np.nonzero(tails < tail_eps)[0]
-        if below.size:
-            break
-        start, size = start + size, 2 * size
-    else:
+    ladder = _poisson_ladder(a2, n, tail_eps)
+    if ladder is None:
         raise CutoffOverflow(f"no cutoff <= {FOCK_CAP} reaches tail mass {tail_eps} "
                              f"at alpha_sq={a2}")
-    n_max = int(candidates[below[0]])
-    tail_mass = float(tails[below[0]])
+    n_max, p, tail_mass = ladder
 
-    # Every n in one pass, on row n mod N. A row whose c_j is 0 takes
-    # log c_j = inf, so its log amplitudes are -inf and it stays zero.
-    log_alpha = 0.5 * math.log(a2) if a2 > 0 else -math.inf
-    log_c = np.array([math.log(c) if c > 0.0 else math.inf for c in profile.c.tolist()])
-    ns = np.arange(n_max + 1)
-    rows = ns % n
-    with np.errstate(invalid="ignore"):
-        log_pow = np.where(ns == 0, 0.0, ns * log_alpha)
+    # Every k in one pass, on row k mod N; dividing by inf keeps a row whose
+    # c_j is 0 at zero.
+    c = coefficients(spec).c
+    c = np.where(c > 0.0, c, np.inf)
+    ks = np.arange(n_max + 1)
+    rows = ks % n
     amps = np.zeros((n, n_max + 1))
-    amps[rows, ns] = np.exp(-0.5 * a2 + log_pow - 0.5 * special.gammaln(ns + 1.0) - log_c[rows])
-
+    amps[rows, ks] = np.sqrt(p[:n_max + 1]) / c[rows]
     return BasisAmplitudes(cutoff=n_max, amps=_frozen(amps), tail_mass=tail_mass)
+
+
+def _poisson_ladder(a2: float, n: int, tail_eps: float) -> tuple[int, np.ndarray, float] | None:
+    """(n_max, p, tail) for basis_amplitudes: the cutoff, the normalised
+    np.longdouble Poisson weights p_k for k = 0..top with top >= n_max +
+    margin, and the tail P(X > n_max) as a double; None when no cutoff <=
+    FOCK_CAP reaches tail_eps.
+
+    The margin is the fold's reach past the mode, _half(0, mode). Past a
+    cutoff m, whose tail is below 1e-6, the weights fall by a2/(k + 1) per
+    step, and the weight beyond m + margin is under 1e-56 of P(X > m)
+    (checked with mpmath for alpha^2 from 1e-4 to 4096), far below 2^-64.
+
+    Tails summed over a ladder that ends at top miss only the weight past
+    top, so they may read low, never high: a candidate whose tail reads at
+    least tail_eps truly has one. A first hit is kept once the ladder runs
+    the margin past it; until then the ladder grows, from a top that holds
+    the cutoff of every tail target down to ~1e-30.
+    """
+    mode = math.floor(a2)
+    if mode >= FOCK_CAP:
+        return None    # P(X > FOCK_CAP) is then about 1/2 or more
+    margin = _half(0, mode)
+    top = max(n - 1, mode + margin) + margin
+    while True:
+        weights = _running_products(np.array([a2], np.longdouble), mode, 0, top + 1)
+        p = weights / weights.sum()
+        tails = np.add.accumulate(p[:0:-1])[::-1].astype(float)   # tails[m] = P(m < X <= top)
+        hits = (tails[n - 1:FOCK_CAP + 1] < tail_eps).nonzero()[0]
+        if hits.size:
+            n_max = n - 1 + int(hits[0])
+            if top >= n_max + margin:
+                return n_max, p, float(tails[n_max])
+            top = n_max + margin
+        elif top > FOCK_CAP:
+            return None
+        else:
+            top *= 2

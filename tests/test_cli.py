@@ -379,6 +379,8 @@ def test_verify_vacuum_exit_2(capsys):
 @pytest.mark.parametrize("argv", [
     ("--n", "3", "--alpha2", "1,-1"),
     ("--n", "3", "--alpha2", "1", "--tail-eps", "0.5"),
+    ("--n", "3", "--alpha2", "1,0"),      # the vacuum alphabet
+    ("--n", "3", "--alpha2", "1,16"),     # an empty failure branch
 ])
 def test_verify_usage_errors_precede_results(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)

@@ -2,8 +2,9 @@
 
 import copy
 import dataclasses
-import hashlib
+import json
 import math
+import os
 import pickle
 
 import numpy as np
@@ -274,6 +275,12 @@ def test_gram_eigenvalues_are_scaled_coefficients():
 # --- basis_amplitudes ------------------------------------------------------
 
 
+# scipy's log-space route, gammainc tails and exp(... - gammaln/2) amplitudes,
+# is good to about this relative error; at alpha^2 = 3500 it is off by 6e-12.
+SCIPY_RTOL = 1e-11
+TINY = np.finfo(float).tiny
+
+
 def test_basis_selection_rule():
     amp = basis_amplitudes(EnsembleSpec(4, 2.0), 1e-12)
     ns = np.arange(amp.cutoff + 1)
@@ -311,7 +318,7 @@ def test_tail_mass_matches_poisson_tail():
     amp = basis_amplitudes(EnsembleSpec(3, 2.5), 1e-10)
     assert amp.tail_mass <= 1e-10
     expect = float(special.gammainc(amp.cutoff + 1, 2.5))
-    assert amp.tail_mass == pytest.approx(expect, abs=1e-15)
+    assert amp.tail_mass == pytest.approx(expect, rel=SCIPY_RTOL, abs=0.0)
     # Minimality: one level lower must miss the target.
     assert float(special.gammainc(amp.cutoff, 2.5)) > 1e-10
 
@@ -337,9 +344,11 @@ def test_fock_cap_is_fixed():
 
 
 def full_scan_basis(spec, tail_eps):
-    """Reference for basis_amplitudes: one gammainc pass over every candidate
-    cutoff N-1..FOCK_CAP, first hit, then the same log-space amplitudes
-    computed one row j at a time on its ladder n = j + p*N."""
+    """Reference for basis_amplitudes in scipy's log space: one gammainc pass
+    over every candidate cutoff N-1..FOCK_CAP, first hit, then the
+    amplitudes <k|phi_j> = exp(-alpha^2/2) alpha^k / (c_j sqrt(k!)) computed
+    one row j at a time on its ladder k = j + p*N. Returns the cutoff, the
+    tail and the amplitudes on the ladder, ladder[k] = <k|phi_(k mod N)>."""
     n, a2 = spec.n_states, spec.alpha_sq
     c = coefficients(spec).c
     candidates = np.arange(n - 1, FOCK_CAP + 1)
@@ -350,35 +359,42 @@ def full_scan_basis(spec, tail_eps):
                              f"at alpha_sq={a2}")
     n_max = int(candidates[below[0]])
     log_alpha = 0.5 * math.log(a2) if a2 > 0 else -math.inf
-    amps = np.zeros((n, n_max + 1))
+    ladder = np.zeros(n_max + 1)
     for j in range(n):
         if c[j] == 0.0:
             continue
-        ns = np.arange(j, n_max + 1, n)
+        ks = np.arange(j, n_max + 1, n)
         with np.errstate(invalid="ignore"):
-            log_pow = np.where(ns == 0, 0.0, ns * log_alpha)
-        amps[j, ns] = np.exp(-0.5 * a2 + log_pow - 0.5 * special.gammaln(ns + 1.0)
-                             - math.log(c[j]))
-    return n_max, float(tails[below[0]]), amps_key(amps)
+            log_pow = np.where(ks == 0, 0.0, ks * log_alpha)
+        ladder[ks] = np.exp(-0.5 * a2 + log_pow - 0.5 * special.gammaln(ks + 1.0)
+                            - math.log(c[j]))
+    return n_max, float(tails[below[0]]), ladder
 
 
-def amps_key(amps):
-    """Shape, dtype and a digest of amps.tobytes(), read in place: at N=4097
-    the array is 128 MiB, so only one is held at a time."""
-    return amps.shape, amps.dtype, hashlib.sha256(np.ascontiguousarray(amps).data).digest()
+def on_ladder(amp):
+    """amp.amps[k mod N, k] for k = 0..cutoff, after checking that every
+    other entry is zero. Read in place: at N=4097 the array is 128 MiB."""
+    ks = np.arange(amp.cutoff + 1)
+    ladder = amp.amps[ks % amp.n_states, ks]
+    assert np.count_nonzero(amp.amps) == np.count_nonzero(ladder)
+    return ladder
 
 
 def assert_matches_full_scan(n, alpha_sq, tail_eps):
+    """The cutoff, or the CutoffOverflow message, exactly as the scipy scan
+    finds it; the tail and the amplitudes within scipy's own error."""
     spec = EnsembleSpec(n, alpha_sq)
     try:
-        expect = full_scan_basis(spec, tail_eps)
+        n_max, tail, ladder = full_scan_basis(spec, tail_eps)
     except CutoffOverflow as exc:
         with pytest.raises(CutoffOverflow) as got:
             basis_amplitudes(spec, tail_eps)
         assert str(got.value) == str(exc)
         return None
     amp = basis_amplitudes(spec, tail_eps)
-    assert (amp.cutoff, amp.tail_mass, amps_key(amp.amps)) == expect
+    assert amp.cutoff == n_max
+    assert amp.tail_mass == pytest.approx(tail, rel=SCIPY_RTOL, abs=TINY)
+    np.testing.assert_allclose(on_ladder(amp), ladder, rtol=SCIPY_RTOL, atol=TINY)
     return amp.cutoff
 
 
@@ -398,15 +414,50 @@ def test_amplitudes_match_the_row_loop(n, alpha_sq):
     assert assert_matches_full_scan(n, alpha_sq, TAIL_EPS) is not None
 
 
-# Cutoffs on the edges of the scan's blocks for N=2 (candidates from 1, in
-# blocks of 64, 128, 256, ...): the last and first candidate of the first
-# three blocks, the first of the block cut at FOCK_CAP, and FOCK_CAP itself.
+# Cutoffs for N=2 at alpha^2 = 8, where the Poisson ladder first runs to 160
+# and keeps a cutoff up to 84 (its margin is 76 terms), and at alpha^2 =
+# 3500 up to FOCK_CAP itself: cutoffs inside the first ladder (64, 65), on
+# its edge (84, 85), far past it (192, 193), and the last below the cap.
 @pytest.mark.parametrize("alpha_sq,cutoff", [
-    (8.0, 64), (8.0, 65), (8.0, 192), (8.0, 193),
+    (8.0, 64), (8.0, 65), (8.0, 84), (8.0, 85), (8.0, 192), (8.0, 193),
     (3500.0, 4032), (3500.0, 4033), (3500.0, FOCK_CAP),
 ])
 def test_cutoff_search_block_edges(alpha_sq, cutoff):
-    # The smallest tail_eps above the tail at `cutoff` makes it the first hit.
-    tail_eps = float(np.nextafter(special.gammainc(cutoff + 1.0, alpha_sq), np.inf))
+    spec = EnsembleSpec(2, alpha_sq)
+    # scipy's tail is within 1e-11 of the code's: a target 1e-9 above it
+    # lands on `cutoff` and reads the code's own tail there.
+    own = basis_amplitudes(spec, float(special.gammainc(cutoff + 1.0, alpha_sq)) * (1 + 1e-9))
+    assert own.cutoff == cutoff
+    # The smallest target above that tail makes `cutoff` the first hit; the
+    # tail itself is not below it, so the next candidate is.
+    tail_eps = float(np.nextafter(own.tail_mass, np.inf))
     assert tail_eps <= 1e-6
-    assert assert_matches_full_scan(2, alpha_sq, tail_eps) == cutoff
+    amp = basis_amplitudes(spec, tail_eps)
+    assert (amp.cutoff, amp.tail_mass) == (cutoff, own.tail_mass)
+    if cutoff == FOCK_CAP:
+        with pytest.raises(CutoffOverflow, match="no cutoff <= 4096 "):
+            basis_amplitudes(spec, own.tail_mass)
+    else:
+        assert basis_amplitudes(spec, own.tail_mass).cutoff == cutoff + 1
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "mpmath_reference.json"),
+          encoding="utf-8") as _handle:
+    FOCK_REFERENCE = json.load(_handle)["fock"]
+
+
+@pytest.mark.parametrize("point", FOCK_REFERENCE,
+                         ids=lambda p: f"{p['n']}-{p['alpha_sq']!r}-{p['tail_eps']!r}")
+def test_fock_route_matches_mpmath(point):
+    # Frozen 60-digit values from data/make_mpmath_reference.py; only values
+    # that are normal doubles are compared.
+    n = point["n"]
+    amp = basis_amplitudes(EnsembleSpec(n, point["alpha_sq"]), point["tail_eps"])
+    assert amp.cutoff == point["cutoff"]
+    tail = float(point["tail_mass"])
+    assert tail >= TINY
+    assert amp.tail_mass == pytest.approx(tail, rel=1e-14, abs=0.0)
+    ks, expect = zip(*[(k, float(v)) for k, v in point["amplitudes"] if float(v) >= TINY])
+    ks = np.array(ks)
+    assert ks.size >= min(20, amp.cutoff + 1)
+    np.testing.assert_allclose(amp.amps[ks % n, ks], expect, rtol=1e-14, atol=0.0)

@@ -1,5 +1,5 @@
 """Source hygiene: every imported name in src/ and tests/ is referenced, and
-only the Fock route loads scipy."""
+no command loads scipy."""
 
 import ast
 import json
@@ -49,6 +49,12 @@ def test_detects_an_unused_import(tmp_path):
     assert unused_imports(module) == [(2, "os"), (4, "pi")]
 
 
+def checkout_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def modules_after(*commands):
     """The scipy modules loaded by a fresh interpreter that imports cvdisc and
     cvdisc.cli and runs cli.main on each argv in commands, each exiting 0."""
@@ -58,24 +64,38 @@ def modules_after(*commands):
         f"codes = [cvdisc.cli.main(argv) for argv in {list(map(list, commands))!r}]\n"
         "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
     )
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=True)
+                          env=checkout_env(), check=True)
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(commands), proc.stdout
     return loaded
 
 
-def test_closed_form_commands_do_not_load_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     loaded = modules_after(
         ("report", "--n", "3", "--alpha2", "0.8"),
         ("sweep", "--n", "3", "--alpha2-min", "0", "--alpha2-max", "2", "--steps", "5",
          "--out", str(tmp_path / "sweep.csv")),
         ("mc", "--n", "3", "--alpha2", "1", "--shots", "1000", "--seed", "1"),
         ("n3", "--alpha2", "1"),
+        ("verify", "--n", "3", "--alpha2", "1"),
     )
     assert loaded == []
 
 
-def test_verify_loads_scipy_special():
-    assert "scipy.special" in modules_after(("verify", "--n", "3", "--alpha2", "1"))
+def test_verify_runs_with_scipy_unimportable(capsys):
+    # sys.modules["scipy"] = None makes every import of scipy raise.
+    argv = ["verify", "--n", "3", "--alpha2", "1,8"]
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from cvdisc.cli import main\n"
+              f"sys.exit(main({argv!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=checkout_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+    from cvdisc.cli import main
+    assert main(argv) == 0
+    labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert len(labels) == 8 and all(label.startswith("PASS ") for label in labels)
+    assert [line.split(":")[0] for line in proc.stdout.splitlines()] == labels
