@@ -71,16 +71,19 @@ def modules_after(*commands):
     return loaded
 
 
-def test_no_command_loads_scipy(tmp_path):
+def test_closed_form_commands_do_not_load_scipy(tmp_path):
     loaded = modules_after(
         ("report", "--n", "3", "--alpha2", "0.8"),
         ("sweep", "--n", "3", "--alpha2-min", "0", "--alpha2-max", "2", "--steps", "5",
          "--out", str(tmp_path / "sweep.csv")),
         ("mc", "--n", "3", "--alpha2", "1", "--shots", "1000", "--seed", "1"),
         ("n3", "--alpha2", "1"),
-        ("verify", "--n", "3", "--alpha2", "1"),
     )
     assert loaded == []
+
+
+def test_verify_does_not_load_scipy():
+    assert modules_after(("verify", "--n", "3", "--alpha2", "1")) == []
 
 
 def test_verify_runs_with_scipy_unimportable(capsys):
