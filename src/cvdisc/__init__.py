@@ -10,14 +10,11 @@ from .discrim import (
     DiscriminationReport,
     JointDistribution,
     SeparationOperators,
-    failure_med,
     failure_profile,
-    helstrom_med,
     ir_columns,
     ir_report,
     joint_distribution,
     separation_operators,
-    ud_success,
 )
 from .ensemble import (
     BasisAmplitudes,
@@ -86,11 +83,9 @@ __all__ = [
     "certify_med_optimality",
     "coefficient_grid",
     "coefficients",
-    "failure_med",
     "failure_posterior",
     "failure_profile",
     "gram",
-    "helstrom_med",
     "info_columns",
     "info_report",
     "ir_columns",
@@ -101,5 +96,4 @@ __all__ = [
     "shannon_entropy",
     "simulate",
     "solve_n3",
-    "ud_success",
 ]

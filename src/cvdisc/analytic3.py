@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ensemble import EnsembleSpec
+import numpy as np
+
+from .ensemble import EnsembleSpec, _frozen
 from .errors import DomainError
 
 # Spacing of the coefficient-degeneracy kinks: the phase phi advances by 2*pi
@@ -77,17 +79,18 @@ def solve_n3(alpha_sq: float) -> CubicSolution:
                          roots=roots, selected=selected, p_s=p_s)
 
 
-def kinks_n3(alpha_sq_max: float) -> list[float]:
-    """Ascending kink locations 4*pi*m/(3*sqrt(3)) with m >= 1, up to the bound."""
-    try:
-        bound = float(alpha_sq_max)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"alpha_sq_max must be a real number, got {alpha_sq_max!r}") from exc
-    if not (math.isfinite(bound) and bound > 0.0):
-        raise DomainError(f"alpha_sq_max must be finite and > 0, got {bound}")
-    kinks = []
-    m = 1
-    while m * KINK_PERIOD <= bound:
-        kinks.append(m * KINK_PERIOD)
-        m += 1
-    return kinks
+def kinks_n3(alpha_sq_max: float) -> np.ndarray:
+    """Ascending kink locations m * KINK_PERIOD with m >= 1, up to the bound,
+    as a read-only float array. The bound is checked as every alpha^2 is,
+    by EnsembleSpec, and must also be > 0."""
+    bound = EnsembleSpec(3, alpha_sq_max).alpha_sq
+    if bound == 0.0:
+        raise DomainError("alpha_sq_max must be > 0, got 0.0")
+    # The quotient and the products round, so the rule m * KINK_PERIOD <=
+    # bound may hold for one m more or one less than the quotient's floor.
+    m = math.floor(bound / KINK_PERIOD) + 1
+    while m * KINK_PERIOD > bound:
+        m -= 1
+    kinks = np.arange(1.0, m + 1)     # whole numbers, exact in a double
+    kinks *= KINK_PERIOD
+    return _frozen(kinks)

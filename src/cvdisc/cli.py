@@ -17,6 +17,7 @@ reused: parsing does not change it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic3, discrim, infotheory, montecarlo, oracle
-from .ensemble import TAIL_EPS, EnsembleSpec, check_tail_eps, coefficient_grid, coefficients
+from .ensemble import TAIL_EPS, EnsembleSpec, coefficient_grid, coefficients
 from .errors import (
     CertificationFailure,
     CutoffOverflow,
@@ -79,12 +80,10 @@ class SweepRequest:
         if not 2 <= self.steps <= STEPS_CAP:
             raise DomainError(f"steps must be in [2, {STEPS_CAP}], got {self.steps}")
 
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.alpha_sq_min, self.alpha_sq_max, self.steps)
 
-
-def _g(x: float) -> str:
-    return f"{x:.12g}"
+def _g(x: float | int) -> str:
+    """An integer or flag as it is; any other figure to 12 digits."""
+    return str(x) if isinstance(x, int) else f"{x:.12g}"
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
@@ -99,10 +98,8 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
                 handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -117,21 +114,17 @@ def _point_values(n: int, alpha_sq: float) -> dict[str, float | int]:
             "failure_dim": coefficients(spec).failure_dim}
 
 
-def _cell(val: float | int, spec: str) -> str:
-    """An integer or flag as it is; any other figure formatted by spec."""
-    return str(val) if isinstance(val, int) else format(val, spec)
-
-
 def cmd_report(n: int, alpha_sq: float) -> int:
     values = _point_values(n, alpha_sq)
-    print("\n".join(f"{name:<20}= {_cell(values[name], '.12g')}" for name in _REPORT_LINES))
+    print("\n".join(f"{name:<20}= {_g(values[name])}" for name in _REPORT_LINES))
     return EXIT_OK
 
 
 def _sweep_chunks(request: SweepRequest) -> Iterator[str]:
     """The sweep CSV: the header, then the rows of one grid block at a time."""
     yield CSV_HEADER + "\n"
-    for block in coefficient_grid(request.n_states, request.grid()):
+    grid = np.linspace(request.alpha_sq_min, request.alpha_sq_max, request.steps)
+    for block in coefficient_grid(request.n_states, grid):
         values = {**vars(discrim.ir_columns(block)), **vars(infotheory.info_columns(block)),
                   "alpha_sq": block.alpha_sq, "failure_dim": block.failure_dim}
         columns = [values[name].tolist() for name in _CSV_COLUMNS]
@@ -141,6 +134,27 @@ def _sweep_chunks(request: SweepRequest) -> Iterator[str]:
 def cmd_sweep(request: SweepRequest, out_path: str) -> int:
     _atomic_write(out_path, _sweep_chunks(request))
     return EXIT_OK
+
+
+def _beyond_6_sigma(count: int, expected: float, z: float) -> bool:
+    """Whether a cell's count deviates beyond 6 sigma. From an expected
+    count of 100 up, |z| > 6 decides. Below that the normal tails are too
+    light (a correct sampler passes |z| > 6 ~400 times too often at 10
+    expected counts, ~5e6 times at 0.01), so the count k is tested by the
+    Poisson Chernoff bound e^-lam (e lam/k)^k on the chance of a count as far
+    from lam on its side against the two-sided 6 sigma level 1.97e-9; the
+    bound is 0 for a count in a cell of probability 0."""
+    if expected >= 100.0:
+        return abs(z) > 6.0
+    tail = math.exp(-expected) * (math.e * expected / max(count, 1)) ** count
+    return tail < math.erfc(6.0 / math.sqrt(2.0))
+
+
+def _count_rows(counts: np.ndarray) -> Iterator[str]:
+    """The counts CSV: the header, then one row per (prep, outcome, branch)."""
+    yield "prep,outcome,branch,count\n"
+    for (k, kp, br), count in np.ndenumerate(counts):
+        yield f"{k},{kp},{'sf'[br]},{count}\n"
 
 
 def cmd_mc(n: int, alpha_sq: float, shots: int, seed: int,
@@ -155,25 +169,22 @@ def cmd_mc(n: int, alpha_sq: float, shots: int, seed: int,
     analytic = np.stack([result.joint.success.T, result.joint.failure.T], axis=-1) / n
 
     worst_z = 0.0
+    flagged = False
     print("prep outcome branch      count    empirical     analytic        z")
-    csv_rows = ["prep,outcome,branch,count"]
-    for k in range(n):
-        for kp in range(n):
-            for br, label in ((0, "s"), (1, "f")):
-                count = int(result.counts[k, kp, br])
-                emp = result.empirical_joint[k, kp, br]
-                prob = analytic[k, kp, br]
-                sigma = math.sqrt(prob * (1.0 - prob) / shots)
-                if sigma > 0.0:
-                    z = (emp - prob) / sigma
-                elif emp == prob:
-                    z = 0.0
-                else:
-                    z = math.inf
-                worst_z = max(worst_z, abs(z))
-                print(f"{k:4d} {kp:7d} {label:>6s} {count:10d} "
-                      f"{emp:.6e} {prob:.6e} {z:8.3f}")
-                csv_rows.append(f"{k},{kp},{label},{count}")
+    for (k, kp, br), count in np.ndenumerate(result.counts):
+        count = int(count)
+        emp = count / shots
+        prob = analytic[k, kp, br]
+        sigma = math.sqrt(prob * (1.0 - prob) / shots)
+        if sigma > 0.0:
+            z = (emp - prob) / sigma
+        elif emp == prob:
+            z = 0.0
+        else:
+            z = math.inf
+        worst_z = max(worst_z, abs(z))
+        flagged = flagged or _beyond_6_sigma(count, prob * shots, z)
+        print(f"{k:4d} {kp:7d} {'sf'[br]:>6s} {count:10d} {emp:.6e} {prob:.6e} {z:8.3f}")
     print(f"empirical_p_s                = {_g(result.empirical_p_s)}")
     print(f"analytic_p_s                 = {_g(rep.p_s)}")
     print(f"empirical_confidence_failure = {_g(result.empirical_confidence_failure)}")
@@ -182,8 +193,8 @@ def cmd_mc(n: int, alpha_sq: float, shots: int, seed: int,
     print(f"rng_algorithm                = {result.rng_algorithm}")
 
     if out_path is not None:
-        _atomic_write(out_path, ["\n".join(csv_rows) + "\n"])
-    if worst_z > 6.0:
+        _atomic_write(out_path, _count_rows(result.counts))
+    if flagged:
         print("statistical flag: a cell deviates beyond 6 sigma", file=sys.stderr)
         return EXIT_STATISTICAL
     return EXIT_OK
@@ -215,21 +226,13 @@ def _fields(report: discrim.DiscriminationReport) -> dict[str, float]:
 
 
 def cmd_verify(n: int, alpha_sq_list: list[float], tail_eps: float) -> int:
+    """Check every point, then print the result lines: any rejection by
+    build_workspace, at any point, exits before the first line."""
     specs = [EnsembleSpec(n, alpha_sq) for alpha_sq in alpha_sq_list]
-    check_tail_eps(tail_eps)
-    # build_workspace rejects the vacuum alphabet and an empty failure branch;
-    # both are decided here, from each profile, before the first result line.
-    for spec in specs:
-        profile = coefficients(spec)
-        if profile.degenerate:
-            raise DegenerateEnsemble("separation map undefined for a single-state alphabet")
-        discrim.failure_profile(profile)
-    all_ok = True
+    lines = []
 
     def check(label: str, ok: bool, detail: str) -> None:
-        nonlocal all_ok
-        all_ok = all_ok and ok
-        print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
+        lines.append(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
 
     for spec in specs:
         tag = f"(n={n}, alpha_sq={_g(spec.alpha_sq)})"
@@ -255,7 +258,8 @@ def cmd_verify(n: int, alpha_sq_list: list[float], tail_eps: float) -> int:
         check(f"phi-vs-fock {tag} (cutoff {ws_fock.dimension - 1})",
               gap < tol, f"max field gap {gap:.3e}, tolerance {tol:.1e}")
 
-    return EXIT_OK if all_ok else EXIT_CERTIFICATION
+    print("\n".join(lines))
+    return EXIT_OK if all(line.startswith("PASS") for line in lines) else EXIT_CERTIFICATION
 
 
 def _alpha_list(raw: str) -> list[float]:
@@ -326,7 +330,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_n3(args.alpha2)
         if args.command == "verify":
             return cmd_verify(args.n, args.alpha2, args.tail_eps)
-        parser.error(f"unknown command {args.command!r}")
     except CertificationFailure as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION

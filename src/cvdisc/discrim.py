@@ -48,6 +48,9 @@ class DiscriminationReport:
     ir_columns, each field is a column over the rows of a block, except
     confidence_success, which is 1 on every row and stays the scalar 1.0.
 
+    p_c_med = (1/N)(sum_j c_j)^2 is the Helstrom minimum-error probability,
+    p_c_med_beta = (1/N)(sum_j b_j)^2 the same on the failure set.
+
     When full_separation is set the failure branch is empty; p_c_ir is 1 by
     its limit and the failure-branch fields (p_c_med_beta, fidelity,
     infidelity, error_bound, confidence_failure) are NaN.
@@ -90,20 +93,6 @@ def _med(x: np.ndarray) -> np.ndarray:
     return np.float_power(x.sum(axis=-1), 2.0) / x.shape[-1]
 
 
-def helstrom_med(profile: CoefficientProfile) -> float:
-    """Minimum-error correct-identification probability (1/N)(sum_j c_j)^2."""
-    return float(_med(profile.c))
-
-
-def ud_success(profile: CoefficientProfile) -> float:
-    """Optimal unambiguous-discrimination success probability N * c_min^2.
-
-    It is 0 for the vacuum alphabet, where c_min = 0: identical states admit
-    no unambiguous conclusion.
-    """
-    return profile.p_s
-
-
 def separation_operators(profile: CoefficientProfile) -> SeparationOperators:
     """Kraus diagonals of the optimal separation map."""
     if profile.degenerate:
@@ -130,14 +119,6 @@ def failure_profile(profile: CoefficientProfile) -> CoefficientProfile:
         raise FullSeparation(_empty_branch(profile.n_states, profile.p_s,
                                            profile.multiplicity))
     return profile
-
-
-def failure_med(profile: CoefficientProfile) -> float:
-    """Minimum-error correct probability (1/N)(sum_j b_j)^2 on the failure set.
-
-    Raises FullSeparation when the failure branch is empty.
-    """
-    return float(_med(failure_profile(profile).b))
 
 
 def _failure_spectrum(b: np.ndarray) -> np.ndarray:

@@ -39,6 +39,9 @@ TAIL_EPS = 1e-12
 # coefficients() sums ~24 * sqrt(alpha^2) terms; alphabets with N up to
 # ~5000 separate fully (1 - p_s < 1e-15) below this bound.
 MAX_ALPHA_SQ = 1e8
+# report and sweep run within 1 GiB of address space up to this N at any
+# alpha^2; at 2^23 a fold at alpha^2 ~ 1e8 no longer fits.
+MAX_N_STATES = 2 ** 22
 # coefficient_grid works in blocks of at most this many entries per array, so
 # its memory is bounded whatever the grid length, N or alpha^2.
 GRID_BLOCK = 2 ** 16
@@ -68,6 +71,8 @@ class EnsembleSpec:
             raise DomainError(f"n_states must be an integer, got {self.n_states!r}")
         if self.n_states < 2:
             raise DomainError(f"n_states must be >= 2, got {self.n_states}")
+        if self.n_states > MAX_N_STATES:
+            raise DomainError(f"n_states must be <= {MAX_N_STATES}, got {self.n_states}")
         try:
             a2 = float(self.alpha_sq)
         except (TypeError, ValueError) as exc:
@@ -362,12 +367,6 @@ def gram(spec: EnsembleSpec) -> np.ndarray:
     return _frozen(entries)
 
 
-def check_tail_eps(tail_eps: float) -> None:
-    """Raise DomainError unless the Poisson tail target lies in (0, 1e-6]."""
-    if not (0.0 < tail_eps <= 1e-6):
-        raise DomainError(f"tail_eps must be in (0, 1e-6], got {tail_eps}")
-
-
 def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     """Fock amplitudes <k|phi_j> = sqrt(p_k) / c_j on the ladder k = j + p*N,
     where p_k = e^(-alpha^2) alpha^(2k) / k! is the Poisson weight of the
@@ -376,20 +375,22 @@ def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     whose c_j underflows to 0 stays zero.
 
     The cutoff is the smallest n_max >= N-1 whose Poisson tail mass
-    P(X > n_max) is below tail_eps, capped at FOCK_CAP; CutoffOverflow is
-    raised when no cutoff up to it suffices. The weights p_k, k = 0..top,
-    are running products outward from the mode floor(alpha^2) in
-    np.longdouble, normalised by their sum, as coefficients() folds them;
-    the tails are their suffix sums, taken smallest term first. The ladder
-    runs _half(0, mode) terms past the cutoff, where the terms it drops add
-    less than 2^-64 of the tail at the cutoff (see _poisson_ladder).
+    P(X > n_max) is below tail_eps, which must lie in (0, 1e-6], capped at
+    FOCK_CAP; CutoffOverflow is raised when no cutoff up to it suffices. The
+    weights p_k, k = 0..top, are running products outward from the mode
+    floor(alpha^2) in np.longdouble, normalised by their sum, as
+    coefficients() folds them; the tails are their suffix sums, taken
+    smallest term first. The ladder runs _half(0, mode) terms past the
+    cutoff, where the terms it drops add less than 2^-64 of the tail at the
+    cutoff (see _poisson_ladder).
 
     Where np.longdouble is wider than a double, each p_k is good to a few
     long-double ulp and each amplitude to about one double ulp. Where it is a
     plain double, the running products lose about |k - mode| ulp of p_k,
     which is no worse than evaluating alpha^k / sqrt(k!) in log space.
     """
-    check_tail_eps(tail_eps)
+    if not (0.0 < tail_eps <= 1e-6):
+        raise DomainError(f"tail_eps must be in (0, 1e-6], got {tail_eps}")
     n = spec.n_states
     a2 = spec.alpha_sq
     ladder = _poisson_ladder(a2, n, tail_eps)

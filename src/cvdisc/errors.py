@@ -29,13 +29,4 @@ class FullSeparation(CvdiscError):
 
 
 class CertificationFailure(CvdiscError):
-    """An optimality or consistency certificate did not pass.
-
-    Carries the worst offending state index and eigenvalue when they exist.
-    """
-
-    def __init__(self, message: str, *, worst_index: int | None = None,
-                 worst_eigenvalue: float | None = None):
-        super().__init__(message)
-        self.worst_index = worst_index
-        self.worst_eigenvalue = worst_eigenvalue
+    """A consistency check of the oracle's construction did not pass."""

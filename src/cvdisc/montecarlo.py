@@ -18,11 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrim import JointDistribution, joint_distribution
-from .ensemble import EnsembleSpec, _frozen, coefficients
-from .errors import DegenerateEnsemble, DomainError
+from .ensemble import EnsembleSpec, _frozen
+from .errors import DomainError
 
 RNG_ALGORITHM = "numpy-pcg64-multinomial-v2"
+# The mc command runs within 1 GiB of address space at both caps.
 SHOT_CAP = 10 ** 9
+N_STATES_CAP = 2 ** 11
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,8 @@ class MCConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        if self.spec.n_states > N_STATES_CAP:
+            raise DomainError(f"n_states {self.spec.n_states} exceeds cap {N_STATES_CAP}")
         if isinstance(self.shots, bool) or not isinstance(self.shots, (int, np.integer)):
             raise DomainError(f"shots must be an integer, got {self.shots!r}")
         if self.shots < 1:
@@ -53,16 +57,14 @@ class MCResult:
     """Count tensor and empirical estimates from one simulation run.
 
     counts[k][k'][branch] counts shots prepared as k with outcome k' on the
-    given branch (index 0 success, 1 failure) and sums to exactly shots;
-    empirical_joint is exactly counts/shots. empirical_confidence_failure is
-    the fraction of failure-branch shots whose outcome matched the
-    preparation (NaN when the failure branch never fired). joint is the
-    analytic joint distribution sampled. rng_algorithm names the generator
-    and the draw order.
+    given branch (index 0 success, 1 failure) and sums to exactly shots.
+    empirical_confidence_failure is the fraction of failure-branch shots
+    whose outcome matched the preparation (NaN when the failure branch never
+    fired). joint is the analytic joint distribution sampled. rng_algorithm
+    names the generator and the draw order.
     """
 
     counts: np.ndarray
-    empirical_joint: np.ndarray
     empirical_p_s: float
     empirical_confidence_failure: float
     shots: int
@@ -78,13 +80,11 @@ def simulate(config: MCConfig) -> MCResult:
     multinomial(shots, [1/N] * N), then all N rows at once via
     multinomial(preps, cells), where row k of cells is column k of the joint
     laid out as [outcome, branch] and normalised to sum to 1. A fully
-    separating alphabet has a zero failure block, so every shot succeeds.
+    separating alphabet has a zero failure block, so every shot succeeds;
+    the vacuum raises DegenerateEnsemble, from joint_distribution.
     """
-    spec = config.spec
-    if coefficients(spec).degenerate:
-        raise DegenerateEnsemble("simulation undefined for a single-state alphabet")
-    n = spec.n_states
-    joint = joint_distribution(spec)
+    n = config.spec.n_states
+    joint = joint_distribution(config.spec)
 
     cells = np.stack([joint.success.T, joint.failure.T], axis=-1).reshape(n, 2 * n)
     cells /= cells.sum(axis=1, keepdims=True)
@@ -97,7 +97,6 @@ def simulate(config: MCConfig) -> MCResult:
     conf_fail = float(np.trace(fail_counts) / n_fail) if n_fail > 0 else math.nan
     return MCResult(
         counts=_frozen(counts),
-        empirical_joint=_frozen(counts / config.shots),
         empirical_p_s=float(counts[:, :, 0].sum() / config.shots),
         empirical_confidence_failure=conf_fail,
         shots=config.shots,

@@ -81,17 +81,6 @@ class MedCertificate:
     worst_eigenvalue: float
     worst_index: int
 
-    def raise_if_failed(self) -> None:
-        if not self.passed:
-            raise CertificationFailure(
-                f"Helstrom certificate failed for {self.which}: "
-                f"hermiticity defect {self.hermiticity_defect:.3e}, "
-                f"worst eigenvalue {self.worst_eigenvalue:.3e} at state "
-                f"{self.worst_index}",
-                worst_index=self.worst_index,
-                worst_eigenvalue=self.worst_eigenvalue,
-            )
-
 
 def build_workspace(spec: EnsembleSpec,
                     basis: str = "phi",
@@ -239,10 +228,7 @@ def certify_med_optimality(ws: MatrixWorkspace,
     normalized failure set (whose minimum-error measurement uses the same
     projectors, |u_k><u_k|).
     """
-    if which == "inputs":
-        states = ws.alpha_states
-    elif which == "failure_states":
-        states = ws.beta_states
-    else:
+    states = {"inputs": ws.alpha_states, "failure_states": ws.beta_states}.get(which)
+    if states is None:
         raise DomainError(f"which must be 'inputs' or 'failure_states', got {which!r}")
     return certify_helstrom(ws.u_states, states, which=which)

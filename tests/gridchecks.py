@@ -11,7 +11,6 @@ import numpy as np
 from cvdisc import (
     EnsembleSpec,
     coefficients,
-    failure_med,
     failure_profile,
     gram,
     info_report,
@@ -113,9 +112,9 @@ def check_joint_structure(n, a2):
 def check_residual_info(n, a2):
     """Failure-set MED beats random guessing iff the failure span exceeds one."""
     bad = []
-    profile = coefficients(EnsembleSpec(n, a2))
-    fail = failure_profile(profile)
-    med_beta = failure_med(fail)
+    spec = EnsembleSpec(n, a2)
+    fail = failure_profile(coefficients(spec))
+    med_beta = ir_report(spec).p_c_med_beta
     if fail.failure_dim >= 2:
         if not med_beta > 1.0 / n:
             bad.append(f"residual info n={n} a2={a2:.4f}: {med_beta} <= 1/N")

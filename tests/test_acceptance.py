@@ -203,7 +203,7 @@ def test_criterion_7_monte_carlo_five_sigma_and_reproducibility():
             jd = joint_distribution(spec)
             probs = np.stack([jd.success.T / n, jd.failure.T / n], axis=2)
             sigma = np.sqrt(probs * (1.0 - probs) / shots)
-            dev = np.abs(res.empirical_joint - probs)
+            dev = np.abs(res.counts / shots - probs)
             assert np.all(dev[sigma == 0] == 0), (n, a2)
             z = np.max(dev[sigma > 0] / sigma[sigma > 0])
             worst_z = max(worst_z, z)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from cvdisc import DomainError, EnsembleSpec, coefficients, kinks_n3, solve_n3, ud_success
+from cvdisc import DomainError, EnsembleSpec, coefficients, kinks_n3, solve_n3
 from cvdisc.analytic3 import KINK_PERIOD
+from cvdisc.ensemble import MAX_ALPHA_SQ
 
 PERIOD = 4.0 * math.pi / (3.0 * math.sqrt(3.0))
 
@@ -73,7 +74,7 @@ def test_matches_coefficient_minimum():
     for a2 in np.linspace(0.01, 8.0, 320):
         if kinks.size and np.min(np.abs(kinks - a2)) < 1e-3:
             continue
-        direct = ud_success(coefficients(EnsembleSpec(3, float(a2))))
+        direct = coefficients(EnsembleSpec(3, float(a2))).p_s
         assert abs(solve_n3(float(a2)).p_s - direct) < 1e-9
 
 
@@ -91,7 +92,7 @@ def test_frozen_value_at_one():
 
 
 def test_kinks_list():
-    assert kinks_n3(2.0) == []
+    assert kinks_n3(2.0).size == 0
     np.testing.assert_allclose(kinks_n3(5.0), [PERIOD, 2 * PERIOD],
                                rtol=0, atol=1e-12)
     kinks = kinks_n3(10.0)
@@ -105,7 +106,19 @@ def test_kinks_boundary_inclusive():
     assert len(kinks) == 1
 
 
+@pytest.mark.parametrize("m", [1, 7, 1000, 123457, 4000001])
+def test_kinks_count_follows_the_loop_rule(m):
+    # The closed-form count keeps the rule m * KINK_PERIOD <= bound on both
+    # sides of the m-th kink, and the kinks are the products m * KINK_PERIOD.
+    bound = m * PERIOD
+    kinks = kinks_n3(bound)
+    assert kinks.size == m and kinks[-1] == bound
+    assert kinks_n3(math.nextafter(bound, 0.0)).size == m - 1
+    assert kinks_n3(math.nextafter(bound, math.inf)).size == m
+    assert not kinks.flags.writeable
+
+
 def test_kinks_rejects_bad_bound():
-    for bad in (-1.0, math.nan, math.inf):
+    for bad in (-1.0, math.nan, math.inf, math.nextafter(MAX_ALPHA_SQ, math.inf)):
         with pytest.raises(DomainError):
             kinks_n3(bad)

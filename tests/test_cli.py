@@ -1,12 +1,14 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
 import csv
+import dataclasses
+import math
 import subprocess
 import sys
 
 import pytest
 
-from cvdisc import DomainError, cli, discrim, ensemble
+from cvdisc import CertificationFailure, DomainError, cli, discrim, ensemble, montecarlo, oracle
 from cvdisc.analytic3 import KINK_PERIOD
 from cvdisc.cli import CSV_HEADER, STEPS_CAP, SweepRequest, main
 
@@ -186,6 +188,34 @@ def test_sweep_io_error_exit_3(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_sweep_onto_a_directory_leaves_no_temp_file(capsys, tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, out, err = run(capsys, "sweep", "--n", "3", "--alpha2-min", "0.5",
+                         "--alpha2-max", "1.0", "--steps", "2", "--out", str(target))
+    assert (code, out) == (3, "")
+    assert err.startswith("i/o error")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert not any(target.iterdir())
+
+
+def test_sweep_failing_mid_grid_leaves_no_file(capsys, monkeypatch, tmp_path):
+    # The grid raises after the header and its first block were written to
+    # the temporary file.
+    grid = ensemble.coefficient_grid
+
+    def failing_grid(n, alpha_sq):
+        yield next(grid(n, alpha_sq))
+        raise RuntimeError("grid block failed")
+
+    monkeypatch.setattr(cli, "coefficient_grid", failing_grid)
+    target = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match="grid block failed"):
+        main(["sweep", "--n", "3", "--alpha2-min", "0.5", "--alpha2-max", "1.0",
+              "--steps", "10", "--out", str(target)])
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--n", "3", "--alpha2-min", "2.0", "--alpha2-max", "1.0",
      "--steps", "3", "--out", "x.csv"),
@@ -250,18 +280,53 @@ def test_mc_counts_csv(capsys, tmp_path):
     assert total == 5000
 
 
-def test_mc_statistical_flag_exit_4(capsys):
-    # Each success cell has probability p_s/3 = 4.5e-6, below
-    # 1/(36 * shots) = 1.4e-5, so a single hit in one lies beyond 6 sigma.
-    # Seed 0 is the first seed from 0 up whose run has a success hit.
+def test_mc_statistical_flag_exit_4(capsys, monkeypatch):
+    # Counts drawn from the true joint are tested against a joint whose
+    # failure cell (outcome 1 | prep 0) is 1.5 times too large; at N=8 and
+    # 1e6 shots that cell holds ~1.4e4 counts, ~50 sigma below its claim.
+    simulate = montecarlo.simulate
+
+    def misstated(config):
+        result = simulate(config)
+        failure = result.joint.failure.copy()
+        failure[1, 0] *= 1.5
+        return dataclasses.replace(result, joint=dataclasses.replace(result.joint,
+                                                                     failure=failure))
+
+    monkeypatch.setattr(montecarlo, "simulate", misstated)
+    code, out, err = run(capsys, "mc", "--n", "8", "--alpha2", "2",
+                         "--shots", "1000000", "--seed", "1")
+    assert code == 4
+    assert err == "statistical flag: a cell deviates beyond 6 sigma\n"
+    assert float(parse_report(out[out.index("empirical_p_s"):])["max_abs_z"]) > 30.0
+
+
+def test_mc_rare_hit_is_not_flagged(capsys):
+    # Each success cell has probability p_s/3 = 4.5e-6, so at 2000 shots it
+    # expects 0.009 counts, and the one hit of seed 0 shows z ~ 10. A correct
+    # sampler puts a count in one of the three cells with probability ~0.03:
+    # no 6 sigma event, so the Poisson tail rule does not flag it.
     code, out, err = run(capsys, "mc", "--n", "3", "--alpha2", "0.003",
                          "--shots", "2000", "--seed", "0")
-    assert code == 4
-    assert "6 sigma" in err
+    assert (code, err) == (0, "")
     values = parse_report(out[out.index("empirical_p_s"):])
     assert values["empirical_p_s"] == "0.0005"
     assert float(values["analytic_p_s"]) < 3.0 / (36 * 2000)
     assert float(values["max_abs_z"]) > 6.0
+
+
+@pytest.mark.parametrize("count,expected,z,flagged", [
+    (1, 0.0115, 9.22, False),        # one count where 0.0115 are expected
+    (1, 0.0, math.inf, True),        # a count in a cell of probability 0
+    (0, 25.0, -5.0, True),           # no count where 25 are expected: e^-25
+    (0, 19.0, -4.36, False),         # e^-19 = 5.6e-9 is above the level
+    (30, 5.0, 11.18, True),
+    (12, 5.0, 3.13, False),
+    (160, 100.0, 6.0, False),        # from 100 expected counts up, z decides
+    (161, 100.0, 6.1, True),
+])
+def test_mc_flag_rule(count, expected, z, flagged):
+    assert cli._beyond_6_sigma(count, expected, z) is flagged
 
 
 def test_mc_reuses_the_sampled_joint(capsys, monkeypatch):
@@ -381,12 +446,23 @@ def test_verify_vacuum_exit_2(capsys):
     ("--n", "3", "--alpha2", "1", "--tail-eps", "0.5"),
     ("--n", "3", "--alpha2", "1,0"),      # the vacuum alphabet
     ("--n", "3", "--alpha2", "1,16"),     # an empty failure branch
+    ("--n", "64", "--alpha2", "3000", "--tail-eps", "1e-300"),    # CutoffOverflow
 ])
 def test_verify_usage_errors_precede_results(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_verify_certification_failure_exit_5(capsys, monkeypatch):
+    def failing(spec, basis="phi", tail_eps=None):
+        raise CertificationFailure("two-stage POVM does not resolve the span")
+
+    monkeypatch.setattr(oracle, "build_workspace", failing)
+    code, out, err = run(capsys, "verify", "--n", "3", "--alpha2", "1")
+    assert (code, out) == (5, "")
+    assert err == "certification failure: two-stage POVM does not resolve the span\n"
 
 
 def test_verify_bad_list_exit_2(capsys):

@@ -13,15 +13,12 @@ from cvdisc import (
     build_workspace,
     coefficients,
     discrim,
-    failure_med,
     failure_posterior,
     failure_profile,
-    helstrom_med,
     info_report,
     ir_report,
     joint_distribution,
     separation_operators,
-    ud_success,
 )
 from cvdisc.analytic3 import KINK_PERIOD, solve_n3
 
@@ -62,32 +59,31 @@ def synthetic_profile(c_sq, degenerate_with_min=None, b=None):
         p_s=n * float(c.min()) ** 2, b=b, failure_dim=n - multiplicity)
 
 
-# --- helstrom_med / ud_success ---------------------------------------------
+# --- p_c_med (Helstrom) / p_s (unambiguous success) -------------------------
 
 
 def test_helstrom_vacuum_is_uniform_guessing():
-    profile = coefficients(EnsembleSpec(3, 0.0))
-    assert helstrom_med(profile) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert ir_report(EnsembleSpec(3, 0.0)).p_c_med == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_helstrom_frozen_3_1():
-    profile = coefficients(EnsembleSpec(3, 1.0))
-    assert helstrom_med(profile) == pytest.approx(REPORT_3_1["p_c_med"], abs=1e-12)
+    assert ir_report(EnsembleSpec(3, 1.0)).p_c_med == pytest.approx(REPORT_3_1["p_c_med"],
+                                                                  abs=1e-12)
 
 
 def test_ud_success_frozen_3_1():
     profile = coefficients(EnsembleSpec(3, 1.0))
-    assert ud_success(profile) == pytest.approx(REPORT_3_1["p_s"], abs=1e-12)
-    assert ud_success(profile) == pytest.approx(3 * profile.c_min ** 2, abs=0)
+    assert profile.p_s == pytest.approx(REPORT_3_1["p_s"], abs=1e-12)
+    assert profile.p_s == pytest.approx(3 * profile.c_min ** 2, abs=0)
 
 
 def test_ud_success_vacuum_is_zero():
-    assert ud_success(coefficients(EnsembleSpec(4, 0.0))) == 0.0
+    assert coefficients(EnsembleSpec(4, 0.0)).p_s == 0.0
 
 
 def test_ud_success_matches_cubic_at_kink():
     profile = coefficients(EnsembleSpec(3, KINK_PERIOD))
-    assert abs(ud_success(profile) - solve_n3(KINK_PERIOD).p_s) < 1e-9
+    assert abs(profile.p_s - solve_n3(KINK_PERIOD).p_s) < 1e-9
 
 
 # --- separation_operators ---------------------------------------------------
@@ -123,7 +119,7 @@ def test_separation_uniform_profile_fully_separates():
     sep = separation_operators(profile)
     np.testing.assert_array_equal(sep.a_success_diag, np.ones(4))
     np.testing.assert_array_equal(sep.a_failure_diag, np.zeros(4))
-    assert ud_success(profile) == pytest.approx(1.0, abs=1e-15)
+    assert profile.p_s == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(FullSeparation, match="^separation succeeds with probability 1.0; "):
         failure_profile(profile)
 
@@ -133,7 +129,7 @@ def test_separation_vacuum_raises():
         separation_operators(coefficients(EnsembleSpec(3, 0.0)))
 
 
-# --- failure_profile / failure_med ------------------------------------------
+# --- failure_profile / p_c_med_beta (failure-set Helstrom) -------------------
 
 
 def test_failure_profile_3_1():
@@ -170,18 +166,16 @@ def test_failure_profile_vacuum_passthrough():
 
 
 def test_failure_med_one_dimensional_failure_set():
-    fail = failure_profile(coefficients(EnsembleSpec(2, 1.0)))
-    assert failure_med(fail) == pytest.approx(0.5, abs=1e-12)
+    assert ir_report(EnsembleSpec(2, 1.0)).p_c_med_beta == pytest.approx(0.5, abs=1e-12)
 
 
 def test_failure_med_frozen_3_1():
-    fail = failure_profile(coefficients(EnsembleSpec(3, 1.0)))
-    assert failure_med(fail) == pytest.approx(REPORT_3_1["p_c_med_beta"], abs=1e-12)
+    assert ir_report(EnsembleSpec(3, 1.0)).p_c_med_beta == pytest.approx(
+        REPORT_3_1["p_c_med_beta"], abs=1e-12)
 
 
 def test_failure_med_beats_guessing():
-    fail = failure_profile(coefficients(EnsembleSpec(4, 1.0)))
-    assert failure_med(fail) > 0.25
+    assert ir_report(EnsembleSpec(4, 1.0)).p_c_med_beta > 0.25
 
 
 # --- ir_report ---------------------------------------------------------------
@@ -247,9 +241,9 @@ def test_single_sentinel_decision(n, alpha_sq):
     if not empty:
         assert failure_profile(profile) is profile
         return
-    for view in (failure_med, failure_posterior):
-        with pytest.raises(FullSeparation):
-            view(profile)
+    assert math.isnan(ir_report(spec).p_c_med_beta)
+    with pytest.raises(FullSeparation):
+        failure_posterior(profile)
     with pytest.raises(FullSeparation) as exc:
         failure_profile(profile)
     if 1.0 - profile.p_s < 1e-15:

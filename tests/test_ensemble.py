@@ -26,7 +26,7 @@ from cvdisc import (
     joint_distribution,
 )
 from cvdisc.analytic3 import KINK_PERIOD
-from cvdisc.ensemble import FOCK_CAP, TAIL_EPS
+from cvdisc.ensemble import FOCK_CAP, MAX_N_STATES, TAIL_EPS
 
 # Independently derived at (N=3, alpha^2=1) from Poisson block sums.
 C_SQ_3_1 = [0.429704639580390, 0.383280844609673, 0.187014515809936]
@@ -51,6 +51,13 @@ def poisson_block(n_states, alpha_sq, j, terms=500):
 def test_spec_rejects_bad_n(n_states):
     with pytest.raises(DomainError):
         EnsembleSpec(n_states, 1.0)
+
+
+def test_spec_n_cap_is_inclusive():
+    # Validation runs before anything of size N is allocated.
+    assert EnsembleSpec(MAX_N_STATES, 1.0).n_states == MAX_N_STATES
+    with pytest.raises(DomainError, match=f"n_states must be <= {MAX_N_STATES}"):
+        EnsembleSpec(MAX_N_STATES + 1, 1.0)
 
 
 @pytest.mark.parametrize("alpha_sq", [-1.0, -1e-12, math.inf, math.nan, "x", 1.0000001e8])

@@ -12,6 +12,7 @@ from cvdisc import (
     failure_posterior,
     failure_profile,
     info_report,
+    ir_report,
     joint_distribution,
     shannon_entropy,
 )
@@ -60,8 +61,7 @@ def test_posterior_frozen_3_1():
     post = failure_posterior(fail)
     np.testing.assert_allclose(post, POSTERIOR_3_1, rtol=0, atol=1e-9)
     # Entry 0 is the correct-guess probability on the failure branch.
-    from cvdisc import failure_med
-    assert post[0] == pytest.approx(failure_med(fail), abs=1e-12)
+    assert post[0] == pytest.approx(ir_report(EnsembleSpec(3, 1.0)).p_c_med_beta, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,alpha_sq", [(3, 0.4), (5, 2.0), (6, 1.1)])

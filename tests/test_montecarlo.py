@@ -13,10 +13,9 @@ from cvdisc import (
     MCConfig,
     joint_distribution,
     simulate,
-    ud_success,
     coefficients,
 )
-from cvdisc.montecarlo import SHOT_CAP
+from cvdisc.montecarlo import N_STATES_CAP, SHOT_CAP
 
 SPEC = EnsembleSpec(3, 1.0)
 
@@ -49,6 +48,12 @@ def test_rejects_shots_beyond_cap():
         MCConfig(spec=SPEC, shots=10 ** 9 + 1, seed=1)
 
 
+def test_rejects_n_beyond_cap():
+    assert MCConfig(spec=EnsembleSpec(N_STATES_CAP, 1.0), shots=10, seed=1).shots == 10
+    with pytest.raises(DomainError, match=f"exceeds cap {N_STATES_CAP}"):
+        MCConfig(spec=EnsembleSpec(N_STATES_CAP + 1, 1.0), shots=10, seed=1)
+
+
 def test_vacuum_raises():
     with pytest.raises(DegenerateEnsemble):
         simulate(MCConfig(spec=EnsembleSpec(3, 0.0), shots=10, seed=0))
@@ -61,7 +66,6 @@ def test_counts_bookkeeping():
     res = simulate(MCConfig(spec=SPEC, shots=40000, seed=7))
     assert res.counts.shape == (3, 3, 2)
     assert res.counts.sum() == 40000
-    np.testing.assert_array_equal(res.empirical_joint, res.counts / 40000)
     assert res.empirical_p_s == res.counts[:, :, 0].sum() / 40000
     assert res.rng_algorithm == "numpy-pcg64-multinomial-v2"
     assert res.shots == 40000 and res.seed == 7
@@ -108,7 +112,7 @@ def test_memory_does_not_grow_with_shots(shots):
 def test_empirical_p_s_within_four_sigma():
     shots = 10 ** 6
     res = simulate(MCConfig(spec=SPEC, shots=shots, seed=42))
-    p_s = ud_success(coefficients(SPEC))
+    p_s = coefficients(SPEC).p_s
     sigma = math.sqrt(p_s * (1 - p_s) / shots)
     assert abs(res.empirical_p_s - p_s) < 4 * sigma
 
@@ -122,7 +126,7 @@ def test_joint_cells_within_five_sigma(n, alpha_sq, seed):
     res = simulate(MCConfig(spec=spec, shots=shots, seed=seed))
     probs = analytic_joint(spec)
     sigma = np.sqrt(probs * (1 - probs) / shots)
-    dev = np.abs(res.empirical_joint - probs)
+    dev = np.abs(res.counts / shots - probs)
     assert np.all(dev[sigma == 0] == 0)
     assert np.max(dev[sigma > 0] / sigma[sigma > 0]) < 5.0
 
@@ -134,7 +138,6 @@ def test_same_seed_is_bit_identical():
     a = simulate(MCConfig(spec=SPEC, shots=30000, seed=1234))
     b = simulate(MCConfig(spec=SPEC, shots=30000, seed=1234))
     np.testing.assert_array_equal(a.counts, b.counts)
-    np.testing.assert_array_equal(a.empirical_joint, b.empirical_joint)
     assert a.empirical_p_s == b.empirical_p_s
     assert a.empirical_confidence_failure == b.empirical_confidence_failure
 

@@ -11,10 +11,8 @@ import gridchecks
 from cvdisc import (
     EnsembleSpec,
     coefficients,
-    failure_med,
     failure_profile,
     ir_report,
-    ud_success,
 )
 
 
@@ -32,10 +30,10 @@ def test_two_state_failure_never_informs():
     # b^2 = (c_max^2 - p_s/2)/(1 - p_s) cancels to machine noise over 1 - p_s,
     # so the tolerance widens as the states approach orthogonality.
     for a2 in np.linspace(0.05, 6.0, 60):
-        fail = failure_profile(coefficients(EnsembleSpec(2, float(a2))))
-        assert fail.failure_dim == 1
+        spec = EnsembleSpec(2, float(a2))
+        assert failure_profile(coefficients(spec)).failure_dim == 1
         tol = 1e-12 if a2 <= 2.0 else 1e-9
-        assert failure_med(fail) == pytest.approx(0.5, abs=tol)
+        assert ir_report(spec).p_c_med_beta == pytest.approx(0.5, abs=tol)
 
 
 def test_ps_versus_infidelity_is_reported_not_asserted():
@@ -64,8 +62,7 @@ def test_low_amplitude_fidelity_expansion(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_ud_success_monotone_toward_separation(n):
     # N * c_min^2 rises from 0 (vacuum) toward 1 (orthogonal alphabet).
-    values = [ud_success(coefficients(EnsembleSpec(n, a2)))
-              for a2 in (0.0, 0.5, 40.0)]
+    values = [coefficients(EnsembleSpec(n, a2)).p_s for a2 in (0.0, 0.5, 40.0)]
     assert values[0] == 0.0
     assert 0.0 < values[1] < 1.0
     # Residual overlap decays as exp(-a2 (1 - cos(2 pi/N))): ~2e-9 at N = 6.
