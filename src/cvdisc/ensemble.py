@@ -40,7 +40,7 @@ TAIL_EPS = 1e-12
 # ~5000 separate fully (1 - p_s < 1e-15) below this bound.
 MAX_ALPHA_SQ = 1e8
 # report and sweep run within 1 GiB of address space up to this N at any
-# alpha^2; at 2^23 a fold at alpha^2 ~ 1e8 no longer fits.
+# alpha^2; at 2^23 the folds of a sweep no longer fit.
 MAX_N_STATES = 2 ** 22
 # coefficient_grid works in blocks of at most this many entries per array, so
 # its memory is bounded whatever the grid length, N or alpha^2.

@@ -24,7 +24,7 @@ from .errors import DomainError
 RNG_ALGORITHM = "numpy-pcg64-multinomial-v2"
 # The mc command runs within 1 GiB of address space at both caps.
 SHOT_CAP = 10 ** 9
-N_STATES_CAP = 2 ** 11
+N_STATES_CAP = 2 ** 12
 
 
 @dataclass(frozen=True)
