@@ -8,7 +8,9 @@ report prints a view of one record per point: _point_values collects both
 reports from one spec, whose coefficient profile is evaluated once. sweep
 makes one coefficient_grid call over its whole alpha^2 grid and writes each
 block of rows from the column views ir_columns and info_columns, one format
-string per CSV row.
+string per CSV row. mc takes its table's columns and its 6 sigma flag as
+arrays from the sampled joint record, GRID_BLOCK cells at a time, and formats
+each row with one format string too.
 
 The argparse parser is built once per process, on the first main call, and
 reused: parsing does not change it.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic3, discrim, infotheory, montecarlo, oracle
-from .ensemble import TAIL_EPS, EnsembleSpec, coefficient_grid, coefficients
+from .ensemble import GRID_BLOCK, TAIL_EPS, EnsembleSpec, coefficient_grid, coefficients
 from .errors import (
     CertificationFailure,
     CutoffOverflow,
@@ -51,6 +53,10 @@ _CSV_COLUMNS = CSV_HEADER.split(",")
 _CSV_ROW = ",".join(["%.12e"] * (len(_CSV_COLUMNS) - 1) + ["%d"]) + "\n"
 
 STEPS_CAP = 10 ** 6
+
+_MC_ROW = "%4d %7d %6s %10d %.6e %.6e %8.3f\n"
+# The two-sided normal tail beyond 6 sigma.
+_SIX_SIGMA = math.erfc(6.0 / math.sqrt(2.0))
 
 _REPORT_FIELDS = ("p_s", "p_c_med", "p_c_med_beta", "p_c_ir", "fidelity",
                   "infidelity", "error_bound", "confidence_success",
@@ -147,7 +153,22 @@ def _beyond_6_sigma(count: int, expected: float, z: float) -> bool:
     if expected >= 100.0:
         return abs(z) > 6.0
     tail = math.exp(-expected) * (math.e * expected / max(count, 1)) ** count
-    return tail < math.erfc(6.0 / math.sqrt(2.0))
+    return tail < _SIX_SIGMA
+
+
+def _any_beyond_6_sigma(count: np.ndarray, expected: np.ndarray, z: np.ndarray) -> bool:
+    """Whether _beyond_6_sigma flags any cell of the arrays. numpy's exp and
+    pow may differ from libm's in the last bits, so a cell whose tail bound
+    lies within 1e-12 of the level is left to _beyond_6_sigma itself; every
+    cell is then decided exactly as _beyond_6_sigma decides it."""
+    low = expected < 100.0
+    if (np.abs(z[~low]) > 6.0).any():
+        return True
+    k, lam = count[low], expected[low]
+    tail = np.exp(-lam) * (math.e * lam / np.maximum(k, 1)) ** k
+    near = np.abs(tail - _SIX_SIGMA) <= 1e-12 * _SIX_SIGMA
+    return bool((tail[~near] < _SIX_SIGMA).any()) or any(
+        map(_beyond_6_sigma, k[near].tolist(), lam[near].tolist(), z[low][near].tolist()))
 
 
 def _count_rows(counts: np.ndarray) -> Iterator[str]:
@@ -157,6 +178,35 @@ def _count_rows(counts: np.ndarray) -> Iterator[str]:
         yield f"{k},{kp},{'sf'[br]},{count}\n"
 
 
+def _mc_table(result: montecarlo.MCResult) -> tuple[float, bool]:
+    """Print the mc table, a row per (prep, outcome, branch) cell, in
+    blocks of at most GRID_BLOCK cells; return the largest |z| and whether
+    any cell deviates beyond 6 sigma."""
+    joint, shots = result.joint, result.shots
+    n = joint.n_states
+    worst_z, flagged = 0.0, False
+    print("prep outcome branch      count    empirical     analytic        z")
+    rows = max(1, GRID_BLOCK // (2 * n))
+    for start in range(0, n, rows):
+        count = result.counts[start:start + rows]
+        # Analytic probability of (prep k, outcome k', branch): uniform
+        # prior over preparations times the conditional joint.
+        prob = joint.columns(start, start + rows) / n
+        emp = count / shots
+        sigma = np.sqrt(prob * (1.0 - prob) / shots)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(sigma > 0.0, (emp - prob) / sigma,
+                         np.where(emp == prob, 0.0, math.inf))
+        worst_z = max(worst_z, float(np.abs(z).max()))
+        flagged = flagged or _any_beyond_6_sigma(count, prob * shots, z)
+        k, kp, _ = np.indices(count.shape).reshape(3, -1)
+        columns = [(k + start).tolist(), kp.tolist(), ["s", "f"] * (k.size // 2),
+                   count.ravel().tolist(), emp.ravel().tolist(),
+                   prob.ravel().tolist(), z.ravel().tolist()]
+        sys.stdout.write("".join(_MC_ROW % row for row in zip(*columns)))
+    return worst_z, flagged
+
+
 def cmd_mc(n: int, alpha_sq: float, shots: int, seed: int,
            out_path: str | None) -> int:
     spec = EnsembleSpec(n, alpha_sq)
@@ -164,27 +214,7 @@ def cmd_mc(n: int, alpha_sq: float, shots: int, seed: int,
     result = montecarlo.simulate(config)
     rep = discrim.ir_report(spec)
 
-    # Analytic probability of (prep k, outcome k', branch): uniform prior
-    # over preparations times the conditional joint.
-    analytic = np.stack([result.joint.success.T, result.joint.failure.T], axis=-1) / n
-
-    worst_z = 0.0
-    flagged = False
-    print("prep outcome branch      count    empirical     analytic        z")
-    for (k, kp, br), count in np.ndenumerate(result.counts):
-        count = int(count)
-        emp = count / shots
-        prob = analytic[k, kp, br]
-        sigma = math.sqrt(prob * (1.0 - prob) / shots)
-        if sigma > 0.0:
-            z = (emp - prob) / sigma
-        elif emp == prob:
-            z = 0.0
-        else:
-            z = math.inf
-        worst_z = max(worst_z, abs(z))
-        flagged = flagged or _beyond_6_sigma(count, prob * shots, z)
-        print(f"{k:4d} {kp:7d} {'sf'[br]:>6s} {count:10d} {emp:.6e} {prob:.6e} {z:8.3f}")
+    worst_z, flagged = _mc_table(result)
     print(f"empirical_p_s                = {_g(result.empirical_p_s)}")
     print(f"analytic_p_s                 = {_g(rep.p_s)}")
     print(f"empirical_confidence_failure = {_g(result.empirical_confidence_failure)}")

@@ -12,6 +12,7 @@ states and measurement vectors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,18 +71,53 @@ class DiscriminationReport:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Outcome probabilities conditioned on the prepared state.
+    """Outcome probabilities conditioned on the prepared state, as the N + 1
+    numbers that fix them.
 
-    success[k'][k] = p(outcome k', success | prepared k) and likewise for
-    failure; columns of success + failure sum to 1.
+    The success branch never errs and the failure branch is symmetric, so
+    p(outcome k', success | prepared k) = p_s * delta(k', k) and
+    p(outcome k', failure | prepared k) = shift[(k' - k) mod N]; for each k
+    they sum to 1 over k' and the branch. success and failure are these as
+    dense N x N blocks, [k'][k], read-only and built on first access;
+    columns() lays rows of them out per preparation.
     """
 
-    success: np.ndarray
-    failure: np.ndarray
+    p_s: float
+    shift: np.ndarray
 
     @property
     def n_states(self) -> int:
-        return self.success.shape[0]
+        return self.shift.shape[0]
+
+    @functools.cached_property
+    def success(self) -> np.ndarray:
+        return _frozen(np.diag(np.full(self.n_states, self.p_s)))
+
+    @functools.cached_property
+    def failure(self) -> np.ndarray:
+        return _frozen(_circulant(self.shift).copy())
+
+    def columns(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The columns of the blocks for preparations k = start..stop-1, as a
+        new array [k - start, k', branch] = p(outcome k', branch | k) with
+        branch 0 success and 1 failure; no dense block is built."""
+        n = self.n_states
+        stop = n if stop is None else min(stop, n)
+        cols = np.zeros((stop - start, n, 2))
+        cols[:, :, 1] = _circulant(self.shift).T[start:stop]
+        # Row r is preparation start + r, whose success outcome is itself.
+        np.fill_diagonal(cols[:, start:, 0], self.p_s)
+        return cols
+
+
+def _circulant(shift: np.ndarray) -> np.ndarray:
+    """The read-only N x N view [k', k] = shift[(k' - k) mod N] =
+    twice[N + k' - k] into two copies of shift: it starts at element N and
+    steps +1 per row and -1 per column."""
+    n = shift.shape[0]
+    twice = np.concatenate((shift, shift))
+    step = twice.itemsize
+    return _frozen(np.ndarray((n, n), twice.dtype, twice, n * step, (step, -step)))
 
 
 def _med(x: np.ndarray) -> np.ndarray:
@@ -119,16 +155,6 @@ def failure_profile(profile: CoefficientProfile) -> CoefficientProfile:
         raise FullSeparation(_empty_branch(profile.n_states, profile.p_s,
                                            profile.multiplicity))
     return profile
-
-
-def _failure_spectrum(b: np.ndarray) -> np.ndarray:
-    """(1/N) * |sum_l w^(-kl) b_l|^2 for k = 0..N-1, one FFT of b along
-    its last axis.
-
-    Equal to the double sum (1/N) * sum_{l,m} w^(-k(l-m)) b_l b_m, and, since
-    b is real, symmetric under k -> -k. Nonnegative by construction.
-    """
-    return np.abs(np.fft.fft(b)) ** 2 / b.shape[-1]
 
 
 def ir_report(spec: EnsembleSpec) -> DiscriminationReport:
@@ -184,28 +210,18 @@ def joint_distribution(spec: EnsembleSpec) -> JointDistribution:
     """Joint outcome/branch probabilities conditioned on the preparation.
 
     success[k'][k] = p_s * delta(k', k). The failure block is circulant:
-    failure[k'][k] = ((1 - p_s)/N) * |sum_l w^((k'-k)l) b_l|^2, so its N
-    distinct entries are one FFT of the failure profile b. A fully separating
-    alphabet yields a zero failure block (the limit of the formula), not an
-    error.
+    failure[k'][k] = shift[(k' - k) mod N] with shift = (1 - p_s) times the
+    profile's failure spectrum, (1/N) * |sum_l w^(-kl) b_l|^2. The record
+    holds p_s and shift, O(N). A fully separating alphabet yields p_s = 1
+    and a zero shift (the limit of the formula), not an error.
     """
     profile = coefficients(spec)
     if profile.degenerate:
         raise DegenerateEnsemble("joint distribution undefined for a single-state alphabet")
-    n = profile.n_states
     if profile.b is None:
         # The declared failure branch is empty, so the success block carries
         # its limit weight 1 and the columns stay normalized.
-        return JointDistribution(success=_frozen(np.eye(n)),
-                                 failure=_frozen(np.zeros((n, n))))
-    p_s = profile.p_s
-    shift_vals = (1.0 - p_s) * _failure_spectrum(profile.b)   # one per (k' - k) mod N
-    # failure[k', k] = shift_vals[(k' - k) mod N] = twice[N + k' - k]: a view
-    # into two copies of shift_vals that starts at element N and steps +1 per
-    # row and -1 per column, copied out.
-    twice = np.concatenate((shift_vals, shift_vals))
-    step = twice.itemsize
-    failure = np.ndarray((n, n), twice.dtype, twice, n * step, (step, -step)).copy()
-    success = np.diag(np.full(n, p_s))
-    return JointDistribution(success=_frozen(success), failure=_frozen(failure))
+        return JointDistribution(p_s=1.0, shift=_frozen(np.zeros(profile.n_states)))
+    return JointDistribution(p_s=profile.p_s,
+                             shift=_frozen((1.0 - profile.p_s) * profile.spectrum))
 

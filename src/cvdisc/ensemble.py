@@ -108,13 +108,14 @@ class EnsembleSpec:
         c_min = math.sqrt(c_min_sq)
         multiplicity = int(degenerate_mask.sum())
         p_s = n * c_min ** 2
-        b = None
+        b = spectrum = None
         if _empty_branch(n, p_s, multiplicity) is None:
             # Clamp before the square root: rounding can land c_j^2 - p_s/N
             # near -1e-17 on entries that are analytically zero.
             raw = (c_sq - p_s / n) / (1.0 - p_s)
             raw[degenerate_mask] = 0.0
             b = _frozen(np.sqrt(np.maximum(raw, 0.0)))
+            spectrum = _frozen(_failure_spectrum(b))
 
         return CoefficientProfile(
             c_sq=_frozen(c_sq),
@@ -126,6 +127,7 @@ class EnsembleSpec:
             near_band_edge=near_band_edge,
             p_s=p_s,
             b=b,
+            spectrum=spectrum,
             failure_dim=n - multiplicity,
         )
 
@@ -150,8 +152,11 @@ class CoefficientProfile:
     b[j] = sqrt((c_j^2 - p_s/N) / (1 - p_s)), clamped at zero and exactly
     zero on entries degenerate with c_min; it is None exactly when the
     failure branch is empty (1 - p_s < FULL_SEPARATION_EPS, or every entry
-    is degenerate with c_min). failure_dim = N - multiplicity is the
-    dimension spanned by the failure set.
+    is degenerate with c_min). spectrum[k] = (1/N) |sum_l w^(-kl) b_l|^2 is
+    the failure spectrum of b (one FFT, see _failure_spectrum), None with b:
+    the failure posterior is it normalised, and the failure block of the
+    joint distribution is (1 - p_s) times it, shifted. failure_dim = N -
+    multiplicity is the dimension spanned by the failure set.
     """
 
     c_sq: np.ndarray
@@ -163,6 +168,7 @@ class CoefficientProfile:
     near_band_edge: bool
     p_s: float
     b: np.ndarray | None
+    spectrum: np.ndarray | None
     failure_dim: int
 
     @property
@@ -175,9 +181,9 @@ class CoefficientBlock:
     """CoefficientProfile for a block of alpha^2 values at one N, less the
     flags degenerate and near_band_edge.
 
-    Row r belongs to alpha_sq[r]: c_sq, c, degenerate_mask and b are
-    (rows, N) arrays, every other field a column with one entry per row.
-    b is NaN on the rows whose failure branch is empty, and
+    Row r belongs to alpha_sq[r]: c_sq, c, degenerate_mask, b and spectrum
+    are (rows, N) arrays, every other field a column with one entry per row.
+    b and spectrum are NaN on the rows whose failure branch is empty, and
     full_separation marks those rows.
     """
 
@@ -189,6 +195,7 @@ class CoefficientBlock:
     degenerate_mask: np.ndarray
     p_s: np.ndarray
     b: np.ndarray
+    spectrum: np.ndarray
     failure_dim: np.ndarray
     full_separation: np.ndarray
 
@@ -213,8 +220,8 @@ class BasisAmplitudes:
 
 def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
     """Evaluate the squared coefficients, classify the minimum, and decide
-    the failure branch once: p_s, b and failure_dim as CoefficientProfile
-    describes them.
+    the failure branch once: p_s, b, its spectrum and failure_dim as
+    CoefficientProfile describes them.
 
     c_j^2 is the Poisson weight e^(-alpha^2) alpha^(2k)/k! summed over
     k = j (mod N): running products outward from the mode, over the N terms
@@ -223,8 +230,8 @@ def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
     full relative precision down to underflow; np.longdouble, where it is
     wider than a double, makes the entries correctly rounded. Entries within
     DEGENERACY_TOL * max(c_min^2, 1e-300) of c_min^2 count toward the
-    multiplicity. coefficient_grid gives the same c_sq, p_s, b and
-    failure decision, bit for bit, for many alpha^2 at once.
+    multiplicity. coefficient_grid gives the same c_sq, p_s, b, spectrum
+    and failure decision, bit for bit, for many alpha^2 at once.
 
     One evaluation per spec object: the profile is computed on the first
     call and kept on the spec, so every later call with the same spec object
@@ -321,8 +328,9 @@ def _classify(alpha_sq: np.ndarray, c_sq: np.ndarray) -> CoefficientBlock:
     empty = (1.0 - p_s < FULL_SEPARATION_EPS) | (multiplicity == n)
     raw = c_sq - (p_s / n)[:, None]
     raw[degenerate_mask] = 0.0
-    # Dividing by NaN makes b NaN on empty rows.
+    # Dividing by NaN makes b, and so the spectrum, NaN on empty rows.
     raw /= np.where(empty, np.nan, 1.0 - p_s)[:, None]
+    b = np.sqrt(np.maximum(raw, 0.0))
     return CoefficientBlock(
         alpha_sq=alpha_sq,
         c_sq=c_sq,
@@ -331,10 +339,21 @@ def _classify(alpha_sq: np.ndarray, c_sq: np.ndarray) -> CoefficientBlock:
         multiplicity=multiplicity,
         degenerate_mask=degenerate_mask,
         p_s=p_s,
-        b=np.sqrt(np.maximum(raw, 0.0)),
+        b=b,
+        spectrum=_failure_spectrum(b),
         failure_dim=n - multiplicity,
         full_separation=empty,
     )
+
+
+def _failure_spectrum(b: np.ndarray) -> np.ndarray:
+    """(1/N) * |sum_l w^(-kl) b_l|^2 for k = 0..N-1, one FFT of b along
+    its last axis.
+
+    Equal to the double sum (1/N) * sum_{l,m} w^(-k(l-m)) b_l b_m, and, since
+    b is real, symmetric under k -> -k. Nonnegative by construction.
+    """
+    return np.abs(np.fft.fft(b)) ** 2 / b.shape[-1]
 
 
 def _empty_branch(n: int, p_s: float, multiplicity: int) -> str | None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrim import _failure_spectrum, failure_profile
+from .discrim import failure_profile
 from .ensemble import CoefficientBlock, CoefficientProfile, EnsembleSpec, _frozen, coefficients
 from .errors import DomainError
 
@@ -51,22 +51,21 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
 def failure_posterior(profile: CoefficientProfile) -> np.ndarray:
     """Posterior over preparations given outcome 0 on the failure branch.
 
-    probs[k] = (1/N) * |sum_l w^(-kl) b_l|^2, the N entries being one FFT of
-    the profile's b; entry 0 is maximal and the array is read-only. Raises
-    FullSeparation when the failure branch is empty. By symmetry the
-    outcome-k posterior is this vector rotated by k, so one vector carries
-    the whole failure branch.
+    probs[k] = (1/N) * |sum_l w^(-kl) b_l|^2, the profile's failure
+    spectrum divided by its sum; entry 0 is maximal and the array is
+    read-only. Raises FullSeparation when the failure branch is empty. By
+    symmetry the outcome-k posterior is this vector rotated by k, so one
+    vector carries the whole failure branch.
     """
-    return _frozen(_posterior(failure_profile(profile).b))
+    return _frozen(_posterior(failure_profile(profile).spectrum))
 
 
-def _posterior(b: np.ndarray) -> np.ndarray:
-    """failure_posterior of every failure profile b along the last axis."""
-    probs = _failure_spectrum(b)
-    # Parseval gives sum(probs) = sum(b^2), which the exact-zeroing of
+def _posterior(spectrum: np.ndarray) -> np.ndarray:
+    """failure_posterior of every failure spectrum along the last axis."""
+    # Parseval gives sum(spectrum) = sum(b^2), which the exact-zeroing of
     # band-degenerate entries leaves marginally below 1 near orthogonality;
     # a posterior must still sum to 1.
-    return probs / probs.sum(axis=-1, keepdims=True)
+    return spectrum / spectrum.sum(axis=-1, keepdims=True)
 
 
 def info_report(spec: EnsembleSpec) -> InfoReport:
@@ -79,23 +78,23 @@ def info_report(spec: EnsembleSpec) -> InfoReport:
     passes through with i_ud = i_ir = 0.
     """
     profile = coefficients(spec)
-    empty = profile.b is None
-    b = np.full(profile.n_states, math.nan) if empty else profile.b
-    figures = _info_figures(b, profile.p_s, empty)
+    empty = profile.spectrum is None
+    spectrum = np.full(profile.n_states, math.nan) if empty else profile.spectrum
+    figures = _info_figures(spectrum, profile.p_s, empty)
     return InfoReport(**{k: float(v) for k, v in figures.items()})
 
 
 def info_columns(block: CoefficientBlock) -> InfoReport:
     """info_report for every row of a block: each field is a column."""
-    return InfoReport(**_info_figures(block.b, block.p_s, block.full_separation))
+    return InfoReport(**_info_figures(block.spectrum, block.p_s, block.full_separation))
 
 
-def _info_figures(b: np.ndarray, p_s, empty) -> dict:
-    """The figures of info_report over the leading axes of b (..., N); b is
-    NaN where empty is set (the failure branch is empty), and h_fail and
-    i_ir take their limits 0 and log2 N there."""
-    log2n = math.log2(b.shape[-1])
+def _info_figures(spectrum: np.ndarray, p_s, empty) -> dict:
+    """The figures of info_report over the leading axes of the failure
+    spectrum (..., N); it is NaN where empty is set (the failure branch is
+    empty), and h_fail and i_ir take their limits 0 and log2 N there."""
+    log2n = math.log2(spectrum.shape[-1])
     i_ud = p_s * log2n
-    h_fail = np.where(empty, 0.0, _entropy_bits(_posterior(b)))
+    h_fail = np.where(empty, 0.0, _entropy_bits(_posterior(spectrum)))
     i_ir = log2n - (1.0 - p_s) * h_fail
     return {"i_ud": i_ud, "i_ir": i_ir, "gain": i_ir - i_ud, "h_fail": h_fail}

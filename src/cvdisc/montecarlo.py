@@ -79,14 +79,14 @@ def simulate(config: MCConfig) -> MCResult:
     Draw order contract (one stream, two calls): the preparation counts via
     multinomial(shots, [1/N] * N), then all N rows at once via
     multinomial(preps, cells), where row k of cells is column k of the joint
-    laid out as [outcome, branch] and normalised to sum to 1. A fully
-    separating alphabet has a zero failure block, so every shot succeeds;
-    the vacuum raises DegenerateEnsemble, from joint_distribution.
+    laid out as [outcome, branch] (joint.columns()) and normalised to sum to
+    1. A fully separating alphabet has a zero failure block, so every shot
+    succeeds; the vacuum raises DegenerateEnsemble, from joint_distribution.
     """
     n = config.spec.n_states
     joint = joint_distribution(config.spec)
 
-    cells = np.stack([joint.success.T, joint.failure.T], axis=-1).reshape(n, 2 * n)
+    cells = joint.columns().reshape(n, 2 * n)
     cells /= cells.sum(axis=1, keepdims=True)
     rng = np.random.default_rng(config.seed)
     preps = rng.multinomial(config.shots, np.full(n, 1.0 / n))

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrim import (
-    DiscriminationReport,
-    JointDistribution,
-    failure_profile,
-    separation_operators,
-)
+from .discrim import DiscriminationReport, failure_profile, separation_operators
 from .ensemble import TAIL_EPS, EnsembleSpec, _frozen, basis_amplitudes, coefficients
 from .errors import CertificationFailure, DomainError
 
@@ -158,29 +153,30 @@ def _traces(vectors: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.abs(vectors.conj() @ states.T) ** 2
 
 
-def brute_force_joint(ws: MatrixWorkspace) -> JointDistribution:
-    """Conditional outcome probabilities from operator traces.
+def brute_force_joint(ws: MatrixWorkspace) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional outcome probabilities from operator traces, as the dense
+    read-only blocks (success, failure).
 
     success[k'][k] = tr(Pi_success[k'] |alpha_k><alpha_k|), which for the
     rank-one element |v_k'><v_k'| is |<v_k'|alpha_k>|^2, and likewise for
-    the failure block; no closed form is consulted.
+    the failure block. No closed form is consulted and no structure is
+    assumed: every one of the 2 N^2 entries is its own trace.
     """
-    return JointDistribution(
-        success=_frozen(_traces(ws.success_vectors, ws.alpha_states)),
-        failure=_frozen(_traces(ws.failure_vectors, ws.alpha_states)))
+    return (_frozen(_traces(ws.success_vectors, ws.alpha_states)),
+            _frozen(_traces(ws.failure_vectors, ws.alpha_states)))
 
 
 def brute_force_probabilities(ws: MatrixWorkspace) -> DiscriminationReport:
     """Re-derive every report field from explicit vectors."""
     n = ws.n_states
-    joint = brute_force_joint(ws)
+    success, failure = brute_force_joint(ws)
 
     p_c_med = float(np.mean(np.diag(_traces(ws.u_states, ws.alpha_states))))
     p_c_med_beta = float(np.mean(np.diag(_traces(ws.u_states, ws.beta_states))))
-    p_s = float(joint.success.sum()) / n
-    p_c_ir = float(np.trace(joint.success) + np.trace(joint.failure)) / n
-    conf_success = float(np.trace(joint.success) / joint.success.sum())
-    conf_failure = float(np.trace(joint.failure) / joint.failure.sum())
+    p_s = float(success.sum()) / n
+    p_c_ir = float(np.trace(success) + np.trace(failure)) / n
+    conf_success = float(np.trace(success) / success.sum())
+    conf_failure = float(np.trace(failure) / failure.sum())
     fidelity = float(np.abs(ws.alpha_states[0].conj() @ ws.beta_states[0]) ** 2)
     return DiscriminationReport(
         p_s=p_s,

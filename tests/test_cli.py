@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cvdisc import CertificationFailure, DomainError, cli, discrim, ensemble, montecarlo, oracle
@@ -282,16 +283,17 @@ def test_mc_counts_csv(capsys, tmp_path):
 
 def test_mc_statistical_flag_exit_4(capsys, monkeypatch):
     # Counts drawn from the true joint are tested against a joint whose
-    # failure cell (outcome 1 | prep 0) is 1.5 times too large; at N=8 and
-    # 1e6 shots that cell holds ~1.4e4 counts, ~50 sigma below its claim.
+    # shift[1], the failure cell (outcome k+1 | prep k) of every k, is 1.5
+    # times too large; at N=8 and 1e6 shots each such cell holds ~1.4e4
+    # counts, ~50 sigma below its claim.
     simulate = montecarlo.simulate
 
     def misstated(config):
         result = simulate(config)
-        failure = result.joint.failure.copy()
-        failure[1, 0] *= 1.5
+        shift = result.joint.shift.copy()
+        shift[1] *= 1.5
         return dataclasses.replace(result, joint=dataclasses.replace(result.joint,
-                                                                     failure=failure))
+                                                                     shift=shift))
 
     monkeypatch.setattr(montecarlo, "simulate", misstated)
     code, out, err = run(capsys, "mc", "--n", "8", "--alpha2", "2",
@@ -327,6 +329,88 @@ def test_mc_rare_hit_is_not_flagged(capsys):
 ])
 def test_mc_flag_rule(count, expected, z, flagged):
     assert cli._beyond_6_sigma(count, expected, z) is flagged
+
+
+def near_level_cells():
+    """(count, expected) cells whose Poisson tail bound lies within a few ulp
+    of the 6 sigma level, found by bisection on _beyond_6_sigma's formula."""
+    def tail(k, lam):
+        return math.exp(-lam) * (math.e * lam / max(k, 1)) ** k
+
+    cells = []
+    for k in range(0, 60, 3):
+        for lo, hi in ((0.0, max(k, 1e-300)), (max(k, 1e-300), 100.0)):
+            if (tail(k, lo) < cli._SIX_SIGMA) == (tail(k, hi) < cli._SIX_SIGMA):
+                continue
+            for _ in range(200):
+                mid = (lo + hi) / 2.0
+                if (tail(k, mid) < cli._SIX_SIGMA) == (tail(k, lo) < cli._SIX_SIGMA):
+                    lo = mid
+                else:
+                    hi = mid
+            for lam in np.nextafter(lo, np.full(8, -1.0)).tolist() + [lo, hi] + \
+                    np.nextafter(hi, np.full(8, 1e3)).tolist():
+                cells.append((k, lam))
+    return cells
+
+
+def test_mc_array_flag_rule_decides_each_cell_as_the_scalar_rule():
+    rng = np.random.default_rng(6)
+    lam = 10.0 ** rng.uniform(-6.0, 4.0, 4000)
+    count = rng.poisson(lam * rng.uniform(0.0, 3.0, lam.size))
+    near = near_level_cells()
+    assert len(near) > 100
+    count = np.concatenate([count, [k for k, _ in near], [0, 1, 0]])
+    lam = np.concatenate([lam, [x for _, x in near], [0.0, 0.0, 150.0]])
+    z = rng.uniform(-8.0, 8.0, lam.size)
+    decided = [cli._any_beyond_6_sigma(count[i:i + 1], lam[i:i + 1], z[i:i + 1])
+               for i in range(lam.size)]
+    assert decided == [cli._beyond_6_sigma(int(c), float(e), float(x))
+                       for c, e, x in zip(count, lam, z)]
+    assert 0 < sum(decided) < lam.size
+    assert cli._any_beyond_6_sigma(count, lam, z) is True
+    unflagged = ~np.array(decided)
+    assert cli._any_beyond_6_sigma(count[unflagged], lam[unflagged], z[unflagged]) is False
+
+
+def reference_mc_table(result):
+    """The mc table as one Python step per cell from the dense joint blocks:
+    the lines, the largest |z| and the flag."""
+    n, shots = result.joint.n_states, result.shots
+    analytic = np.stack([result.joint.success.T, result.joint.failure.T], axis=-1) / n
+    lines = ["prep outcome branch      count    empirical     analytic        z\n"]
+    worst_z, flagged = 0.0, False
+    for (k, kp, br), count in np.ndenumerate(result.counts):
+        count = int(count)
+        emp = count / shots
+        prob = analytic[k, kp, br]
+        sigma = math.sqrt(prob * (1.0 - prob) / shots)
+        if sigma > 0.0:
+            z = (emp - prob) / sigma
+        elif emp == prob:
+            z = 0.0
+        else:
+            z = math.inf
+        worst_z = max(worst_z, abs(z))
+        flagged = flagged or cli._beyond_6_sigma(count, prob * shots, z)
+        lines.append(f"{k:4d} {kp:7d} {'sf'[br]:>6s} {count:10d} {emp:.6e} {prob:.6e} {z:8.3f}\n")
+    return "".join(lines), worst_z, flagged
+
+
+@pytest.mark.parametrize("n,alpha_sq,shots,seed", [
+    (3, 1.0, 20000, 42), (4, 0.9, 15000, 77), (8, 2.0, 10 ** 6, 1),
+    (3, 0.003, 2000, 0),           # the rare hit
+    (3, 45.0, 500, 5),             # full separation
+    (5, 1e-3, 10 ** 9, 3), (64, 20.0, 10 ** 9, 1), (200, 50.0, 10 ** 9, 2),
+])
+def test_mc_table_is_the_per_cell_table(capsys, n, alpha_sq, shots, seed):
+    # N = 200 spans two blocks of the table.
+    result = montecarlo.simulate(montecarlo.MCConfig(ensemble.EnsembleSpec(n, alpha_sq),
+                                                     shots, seed))
+    worst_z, flagged = cli._mc_table(result)
+    text, ref_worst, ref_flagged = reference_mc_table(result)
+    assert capsys.readouterr().out == text
+    assert (worst_z, flagged) == (ref_worst, ref_flagged)
 
 
 def test_mc_reuses_the_sampled_joint(capsys, monkeypatch):

@@ -19,6 +19,9 @@ from cvdisc.ensemble import GRID_BLOCK, MAX_ALPHA_SQ, _fold
 
 PROFILE_FIELDS = ("c_sq", "c", "c_min", "multiplicity", "degenerate_mask", "p_s",
                   "failure_dim")
+# Fields that are None on a profile whose failure branch is empty, and NaN on
+# its grid row.
+FAILURE_FIELDS = ("b", "spectrum")
 
 
 def grid_values(n):
@@ -69,8 +72,10 @@ def test_grid_rows_equal_the_one_point_path(n):
         for field in PROFILE_FIELDS:
             assert same_bits(getattr(block, field)[r], getattr(profile, field)), (where, field)
         assert block.full_separation[r] == (profile.b is None), where
-        expect_b = np.full(n, np.nan) if profile.b is None else profile.b
-        assert same_bits(block.b[r], expect_b), (where, "b")
+        for field in FAILURE_FIELDS:
+            value = getattr(profile, field)
+            expect = np.full(n, np.nan) if value is None else value
+            assert same_bits(getattr(block, field)[r], expect), (where, field)
         for name, value in vars(ir_report(spec)).items():
             assert same_bits(np.broadcast_to(ir_col[name], block.p_s.shape)[r], value), \
                 (where, name)

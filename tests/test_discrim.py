@@ -1,6 +1,7 @@
 """Minimum-error, unambiguous, and recycled discrimination quantities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cvdisc import (
     FullSeparation,
     build_workspace,
     coefficients,
-    discrim,
+    ensemble,
     failure_posterior,
     failure_profile,
     info_report,
@@ -45,7 +46,8 @@ REPORT_3_08 = {
 
 def synthetic_profile(c_sq, degenerate_with_min=None, b=None):
     """Build a profile directly from squared coefficients. b is taken as
-    given; the default None declares the failure branch empty."""
+    given, with its spectrum; the default None declares the failure branch
+    empty."""
     c_sq = np.asarray(c_sq, dtype=float)
     n = c_sq.shape[0]
     c = np.sqrt(c_sq)
@@ -56,7 +58,9 @@ def synthetic_profile(c_sq, degenerate_with_min=None, b=None):
     return CoefficientProfile(
         c_sq=c_sq, c=c, c_min=float(c.min()), multiplicity=multiplicity,
         degenerate_mask=deg, degenerate=False, near_band_edge=False,
-        p_s=n * float(c.min()) ** 2, b=b, failure_dim=n - multiplicity)
+        p_s=n * float(c.min()) ** 2, b=b,
+        spectrum=None if b is None else ensemble._failure_spectrum(np.asarray(b)),
+        failure_dim=n - multiplicity)
 
 
 # --- p_c_med (Helstrom) / p_s (unambiguous success) -------------------------
@@ -291,23 +295,49 @@ def test_joint_is_circulant():
 
 
 @pytest.mark.parametrize("n,alpha_sq", [
-    (2, 0.7), (3, 1.0), (8, 2.5), (64, 50.0), (1024, 300.0), (3, 45.0),
+    *[(n, a2) for n in (2, 3, 8, 64, 1024) for a2 in (0.7, 1.0, 2.5, 50.0)],
+    (1024, 300.0), (3, 45.0),
 ])
 def test_joint_blocks_are_the_indexed_forms(n, alpha_sq):
-    # (3, 45) separates fully: its blocks are the limits identity and zero.
+    # The dense views, built on first access from p_s and shift, are the
+    # indexed forms of the FFT of b bit for bit. (3, 45), and N = 2 and 3 at
+    # alpha^2 = 50, separate fully: their blocks are the limits identity and
+    # zero.
     spec = EnsembleSpec(n, alpha_sq)
     profile = coefficients(spec)
     p_s, shift = 1.0, np.zeros(n)
     if profile.b is not None:
         p_s = profile.p_s
-        shift = (1.0 - p_s) * discrim._failure_spectrum(profile.b)
+        shift = (1.0 - p_s) * (np.abs(np.fft.fft(profile.b)) ** 2 / n)
     idx = np.arange(n)
     jd = joint_distribution(spec)
+    assert jd.p_s == p_s and jd.shift.tobytes() == shift.tobytes()
+    assert jd.n_states == n and not jd.shift.flags.writeable
     for block, expected in ((jd.failure, shift[(idx[:, None] - idx[None, :]) % n]),
                             (jd.success, np.eye(n) * p_s)):
         assert block.dtype == expected.dtype and block.tobytes() == expected.tobytes()
         assert block.flags.c_contiguous and block.flags.owndata
         assert block.base is None and not block.flags.writeable
+    assert jd.success is jd.success and jd.failure is jd.failure
+    # columns() lays out the same values per preparation, in any row range.
+    dense = np.stack([jd.success.T, jd.failure.T], axis=-1)
+    assert jd.columns().tobytes() == dense.tobytes()
+    for start, stop in ((0, 1), (n // 3, n // 2 + 1), (n - 1, n + 5)):
+        assert jd.columns(start, stop).tobytes() == dense[start:stop].tobytes()
+
+
+def test_joint_record_holds_no_dense_block():
+    # N + 1 numbers fix the joint. The profile's fold is the largest
+    # allocation, 0.40 MiB at N = 4096, where each dense block would take
+    # 128 MiB.
+    spec = EnsembleSpec(4096, 50.0)
+    tracemalloc.start()
+    try:
+        joint_distribution(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_joint_full_separation_collapses():

@@ -225,7 +225,8 @@ def test_the_memo_leaves_the_spec_a_value(n, alpha_sq):
         assert coefficients(clone) is not profile
         bitwise_equal_profiles(coefficients(clone), profile)
 
-    for arr in (profile.c_sq, profile.c, profile.degenerate_mask, profile.b):
+    for arr in (profile.c_sq, profile.c, profile.degenerate_mask, profile.b,
+                profile.spectrum):
         assert arr is None or not arr.flags.writeable
 
 

@@ -142,6 +142,24 @@ def test_same_seed_is_bit_identical():
     assert a.empirical_confidence_failure == b.empirical_confidence_failure
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 64, 256])
+@pytest.mark.parametrize("alpha_sq", [0.01, 1.0, 20.0, 45.0])
+def test_draws_follow_the_dense_joint(n, alpha_sq):
+    # The draw contract, restated from the dense blocks: the cells are the
+    # stacked transposed blocks, normalised per row, and the same two
+    # multinomial calls on the same stream give the same counts.
+    spec = EnsembleSpec(n, alpha_sq)
+    shots, seed = 10 ** 7 + n, n
+    jd = joint_distribution(spec)
+    cells = np.stack([jd.success.T, jd.failure.T], axis=-1).reshape(n, 2 * n)
+    cells /= cells.sum(axis=1, keepdims=True)
+    rng = np.random.default_rng(seed)
+    preps = rng.multinomial(shots, np.full(n, 1.0 / n))
+    expected = rng.multinomial(preps, cells).reshape(n, n, 2)
+    counts = simulate(MCConfig(spec=spec, shots=shots, seed=seed)).counts
+    np.testing.assert_array_equal(counts, expected)
+
+
 def test_different_seeds_differ():
     a = simulate(MCConfig(spec=SPEC, shots=30000, seed=1))
     b = simulate(MCConfig(spec=SPEC, shots=30000, seed=2))

@@ -89,10 +89,10 @@ def test_brute_matches_closed_form(n, alpha_sq, basis):
 @pytest.mark.parametrize("n,alpha_sq", [(3, 1.0), (5, 2.0)])
 def test_brute_joint_matches_closed_form(n, alpha_sq):
     spec = EnsembleSpec(n, alpha_sq)
-    brute = brute_force_joint(build_workspace(spec))
+    success, failure = brute_force_joint(build_workspace(spec))
     closed = joint_distribution(spec)
-    assert np.max(np.abs(brute.success - closed.success)) < 1e-10
-    assert np.max(np.abs(brute.failure - closed.failure)) < 1e-10
+    assert np.max(np.abs(success - closed.success)) < 1e-10
+    assert np.max(np.abs(failure - closed.failure)) < 1e-10
 
 
 def test_fock_basis_agrees_with_phi():
@@ -105,9 +105,27 @@ def test_fock_basis_agrees_with_phi():
 
 def test_brute_unambiguity():
     # A success outcome never points at the wrong preparation.
-    jd = brute_force_joint(build_workspace(EnsembleSpec(5, 1.2)))
-    off = jd.success[~np.eye(5, dtype=bool)]
+    success, _ = brute_force_joint(build_workspace(EnsembleSpec(5, 1.2)))
+    off = success[~np.eye(5, dtype=bool)]
     assert np.max(off) < 1e-10
+
+
+@pytest.mark.parametrize("basis", ["phi", "fock"])
+@pytest.mark.parametrize("n,alpha_sq", [(2, 0.7), (3, 1.0), (3, 8.0), (4, 2.0), (5, 1.5),
+                                        (6, 3.0), (8, 2.0), (12, 5.0), (16, 4.0)])
+def test_brute_joint_is_diagonal_plus_circulant(n, alpha_sq, basis):
+    # The paper's error-free structure, read off traces that assume none:
+    # the success block is p_s * I and the failure block depends on
+    # (k' - k) mod N only. Worst residuals measured over these points: 3.4e-31
+    # (phi) and 3.0e-24 (Fock) off the success diagonal, 8.9e-16 along it,
+    # 7.6e-16 off the circulant (both bases). The tolerances keep >= 300x,
+    # 10x and 10x of headroom.
+    success, failure = brute_force_joint(build_workspace(EnsembleSpec(n, alpha_sq), basis))
+    off_diagonal = success[~np.eye(n, dtype=bool)]
+    assert np.max(np.abs(off_diagonal)) < 1e-21
+    assert np.max(np.abs(np.diag(success) - success[0, 0])) < 1e-14
+    idx = np.arange(n)
+    assert np.max(np.abs(failure - failure[(idx[:, None] - idx[None, :]) % n, 0])) < 1e-14
 
 
 def test_brute_vacuum_adjacent_limit():
