@@ -268,9 +268,8 @@ def cmd_verify(n: int, alpha_sq_list: list[float], tail_eps: float) -> int:
         tag = f"(n={n}, alpha_sq={_g(spec.alpha_sq)})"
         ws = oracle.build_workspace(spec, "phi")
 
-        for which in ("inputs", "failure_states"):
-            cert = oracle.certify_med_optimality(ws, which)
-            check(f"helstrom-{which} {tag}", cert.passed,
+        for cert in oracle.certify_med_optimality(ws):
+            check(f"helstrom-{cert.which} {tag}", cert.passed,
                   f"worst eigenvalue {cert.worst_eigenvalue:.3e}, "
                   f"hermiticity defect {cert.hermiticity_defect:.3e}")
 

@@ -107,7 +107,7 @@ class EnsembleSpec:
 
         c_min = math.sqrt(c_min_sq)
         multiplicity = int(degenerate_mask.sum())
-        p_s = n * c_min ** 2
+        p_s = min(1.0, n * c_min ** 2)
         b = spectrum = None
         if _empty_branch(n, p_s, multiplicity) is None:
             # Clamp before the square root: rounding can land c_j^2 - p_s/N
@@ -147,7 +147,8 @@ class CoefficientProfile:
     of the degeneracy band, where the multiplicity count is
     resolution-limited.
 
-    p_s = N * c_min^2 is the optimal unambiguous success probability. b is
+    p_s = N * c_min^2 is the optimal unambiguous success probability,
+    clamped at 1 (rounding lifts it above on rows that separate fully). b is
     the coefficient vector of the normalized failure states,
     b[j] = sqrt((c_j^2 - p_s/N) / (1 - p_s)), clamped at zero and exactly
     zero on entries degenerate with c_min; it is None exactly when the
@@ -324,7 +325,7 @@ def _classify(alpha_sq: np.ndarray, c_sq: np.ndarray) -> CoefficientBlock:
     multiplicity = degenerate_mask.sum(axis=1)
     c_min = np.sqrt(c_min_sq)
     # float_power is libm pow, as Python's float ** 2; numpy's x**2 is x*x.
-    p_s = n * np.float_power(c_min, 2.0)
+    p_s = np.minimum(1.0, n * np.float_power(c_min, 2.0))
     empty = (1.0 - p_s < FULL_SEPARATION_EPS) | (multiplicity == n)
     raw = c_sq - (p_s / n)[:, None]
     raw[degenerate_mask] = 0.0

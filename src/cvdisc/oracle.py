@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrim import DiscriminationReport, failure_profile, separation_operators
-from .ensemble import TAIL_EPS, EnsembleSpec, _frozen, basis_amplitudes, coefficients
+from .ensemble import (GRID_BLOCK, TAIL_EPS, EnsembleSpec, _frozen, basis_amplitudes,
+                       coefficients)
 from .errors import CertificationFailure, DomainError
 
 HERMITICITY_TOL = 1e-10
@@ -101,50 +102,46 @@ def build_workspace(spec: EnsembleSpec,
 
     if basis == "phi":
         phi_rows = np.eye(n, dtype=complex)
-        tail_mass = 0.0
+        tail_mass = norm_defect = 0.0
     else:
         amp = basis_amplitudes(spec, tail_eps)
         phi_rows = amp.amps.astype(complex)
         tail_mass = amp.tail_mass
+        # Rows of underflowed coefficients are zero and span nothing.
+        norms = np.sum(amp.amps ** 2, axis=1)
+        norm_defect = float(np.max(1.0 - norms[norms > 0.0], initial=0.0))
     dim = phi_rows.shape[1]
 
     k = np.arange(n)
     phases = np.exp(2j * np.pi * np.outer(k, k) / n)      # w^(k*j)
-    alpha_states = (phases * profile.c) @ phi_rows
-    u_states = phases @ phi_rows / np.sqrt(n)
-    beta_states = (phases * profile.b) @ phi_rows
+    weights = np.array((profile.c, np.full(n, n ** -0.5), profile.b))
+    alpha_states, u_states, beta_states = _frozen((phases * weights[:, None, :]) @ phi_rows)
 
-    # Row k of u_states @ A.conj() is (A^dagger u_k)^T.
-    a_success = (phi_rows.T * sep.a_success_diag) @ phi_rows.conj()
-    a_failure = (phi_rows.T * sep.a_failure_diag) @ phi_rows.conj()
+    # Success and failure Kraus operators as one stack; row k of
+    # u_states @ A.conj() is (A^dagger u_k)^T.
+    diags = np.array((sep.a_success_diag, sep.a_failure_diag))
+    kraus = (phi_rows.T * diags[:, None, :]) @ phi_rows.conj()
+    success_vectors, failure_vectors = _frozen(u_states @ kraus.conj())
     span = phi_rows.T @ phi_rows.conj()
 
     ws = MatrixWorkspace(
         basis=basis, n_states=n, alpha_sq=spec.alpha_sq, dimension=dim,
-        alpha_states=_frozen(alpha_states), u_states=_frozen(u_states),
-        beta_states=_frozen(beta_states),
-        success_vectors=_frozen(u_states @ a_success.conj()),
-        failure_vectors=_frozen(u_states @ a_failure.conj()),
+        alpha_states=alpha_states, u_states=u_states, beta_states=beta_states,
+        success_vectors=success_vectors, failure_vectors=failure_vectors,
         span_projector=_frozen(span), tail_mass=tail_mass,
     )
-    # Rows of underflowed coefficients are zero and span nothing.
-    norms = np.sum(np.abs(phi_rows) ** 2, axis=1)
-    _check_construction(ws, float(np.max(1.0 - norms[norms > 0.0], initial=0.0)))
+    _check_construction(ws, norm_defect)
     return ws
 
 
-def _element_sum(vectors: np.ndarray) -> np.ndarray:
-    """sum_k |v_k><v_k| over the rows v_k of vectors."""
-    return vectors.T @ vectors.conj()
-
-
 def _check_construction(ws: MatrixWorkspace, norm_defect: float) -> None:
-    med_sum = _element_sum(ws.u_states)
+    # The three element sums sum_k |v_k><v_k|, one per vector set.
+    vectors = np.array((ws.u_states, ws.success_vectors, ws.failure_vectors))
+    med_sum, success_sum, failure_sum = vectors.transpose(0, 2, 1) @ vectors.conj()
     if float(np.max(np.abs(med_sum - ws.span_projector))) > _COMPLETENESS_TOL:
         raise CertificationFailure("minimum-error projectors do not resolve the span")
-    chain_sum = _element_sum(ws.success_vectors) + _element_sum(ws.failure_vectors)
     chain_tol = _COMPLETENESS_TOL + 2.0 * norm_defect
-    if float(np.max(np.abs(chain_sum - ws.span_projector))) > chain_tol:
+    if float(np.max(np.abs(success_sum + failure_sum - ws.span_projector))) > chain_tol:
         raise CertificationFailure("two-stage POVM does not resolve the span")
 
 
@@ -167,28 +164,71 @@ def brute_force_joint(ws: MatrixWorkspace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def brute_force_probabilities(ws: MatrixWorkspace) -> DiscriminationReport:
-    """Re-derive every report field from explicit vectors."""
-    n = ws.n_states
-    success, failure = brute_force_joint(ws)
+    """Re-derive every report field from explicit vectors.
 
-    p_c_med = float(np.mean(np.diag(_traces(ws.u_states, ws.alpha_states))))
-    p_c_med_beta = float(np.mean(np.diag(_traces(ws.u_states, ws.beta_states))))
-    p_s = float(success.sum()) / n
-    p_c_ir = float(np.trace(success) + np.trace(failure)) / n
-    conf_success = float(np.trace(success) / success.sum())
-    conf_failure = float(np.trace(failure) / failure.sum())
+    One trace matrix holds every overlap the report reads: rows are the
+    success, failure and minimum-error vectors, columns the input and
+    failure states, and each field is read from one N x N block of it.
+    """
+    n = ws.n_states
+    traces = _traces(np.concatenate((ws.success_vectors, ws.failure_vectors, ws.u_states)),
+                     np.concatenate((ws.alpha_states, ws.beta_states)))
+    # Row block r (success, failure, u) against column block c (alpha, beta):
+    # diagonals[r, c] sums the k' = k entries of the block. The success and
+    # failure blocks on the inputs are also summed whole. Contiguous copies
+    # keep numpy's pairwise summation.
+    diagonals = np.diagonal(traces.reshape(3, n, 2, n), axis1=1, axis2=3).copy().sum(axis=2)
+    (success, _), (failure, _), (med, med_beta) = diagonals.tolist()
+    success_total, failure_total = traces[:2 * n, :n].reshape(2, n * n).sum(axis=1).tolist()
     fidelity = float(np.abs(ws.alpha_states[0].conj() @ ws.beta_states[0]) ** 2)
+    p_c_med = med / n
     return DiscriminationReport(
-        p_s=p_s,
+        p_s=success_total / n,
         p_c_med=p_c_med,
-        p_c_med_beta=p_c_med_beta,
-        p_c_ir=p_c_ir,
+        p_c_med_beta=med_beta / n,
+        p_c_ir=(success + failure) / n,
         fidelity=fidelity,
         infidelity=1.0 - fidelity,
         error_bound=max(0.0, 1.0 - fidelity / p_c_med),
-        confidence_success=conf_success,
-        confidence_failure=conf_failure,
+        confidence_success=success / success_total,
+        confidence_failure=failure / failure_total,
     )
+
+
+def _certify(vectors: np.ndarray, families: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Helstrom conditions of one measurement on a stack of state families.
+
+    vectors (N, d) holds one measurement vector per outcome and families
+    (f, N, d) holds f families of N states. Returns, per family, the
+    Hermiticity defect max |Gamma - Gamma^dagger| and the lowest eigenvalue
+    of Gamma - |psi_k><psi_k|/N for every k, shape (f, N). The f*N matrices
+    are formed and diagonalised GRID_BLOCK // d^2 at a time (at least one),
+    so memory stays O(GRID_BLOCK + f d^2) for any N.
+    """
+    f, n, d = families.shape
+    overlaps = np.sum(vectors.conj() * families, axis=2)         # <v_k|psi_k>
+    gamma = (vectors.T * overlaps[:, None, :]) @ families.conj() / n
+    gamma_dagger = gamma.conj().transpose(0, 2, 1)
+    defects = np.max(np.abs(gamma - gamma_dagger), axis=(1, 2))
+    gamma_h = (gamma + gamma_dagger) / 2.0
+    states = families.reshape(f * n, d)
+    family = np.arange(f * n) // n
+    lows = np.empty(f * n)
+    step = max(1, GRID_BLOCK // d ** 2)
+    for start in range(0, f * n, step):
+        psi = states[start:start + step]
+        rhos = psi[:, :, None] * psi.conj()[:, None, :]
+        block = gamma_h[family[start:start + step]] - rhos / n
+        lows[start:start + step] = np.linalg.eigvalsh(block)[:, 0]
+    return defects, lows.reshape(f, n)
+
+
+def _certificate(which: str, defect: float, lows: np.ndarray) -> MedCertificate:
+    worst_k = int(np.argmin(lows))
+    worst = float(lows[worst_k])
+    passed = defect < HERMITICITY_TOL and worst >= -EIGENVALUE_TOL
+    return MedCertificate(which=which, passed=passed, hermiticity_defect=float(defect),
+                          worst_eigenvalue=worst, worst_index=worst_k)
 
 
 def certify_helstrom(vectors: np.ndarray, states: np.ndarray,
@@ -203,28 +243,16 @@ def certify_helstrom(vectors: np.ndarray, states: np.ndarray,
     n = len(states)
     if len(vectors) != n:
         raise DomainError(f"{len(vectors)} measurement vectors for {n} states")
-    overlaps = np.sum(vectors.conj() * states, axis=1)     # <v_k|psi_k>
-    gamma = (vectors.T * overlaps) @ states.conj() / n
-    defect = float(np.max(np.abs(gamma - gamma.conj().T)))
-    gamma_h = (gamma + gamma.conj().T) / 2.0
-    rhos = states[:, :, None] * states.conj()[:, None, :]
-    lows = np.linalg.eigvalsh(gamma_h - rhos / n)[:, 0]
-    worst_k = int(np.argmin(lows))
-    worst = float(lows[worst_k])
-    passed = defect < HERMITICITY_TOL and worst >= -EIGENVALUE_TOL
-    return MedCertificate(which=which, passed=passed, hermiticity_defect=defect,
-                          worst_eigenvalue=worst, worst_index=worst_k)
+    (defect,), (lows,) = _certify(vectors, states[None])
+    return _certificate(which, defect, lows)
 
 
-def certify_med_optimality(ws: MatrixWorkspace,
-                           which: str = "inputs") -> MedCertificate:
-    """Certify the minimum-error projectors against the chosen state family.
-
-    'inputs' certifies them on the alphabet states, 'failure_states' on the
-    normalized failure set (whose minimum-error measurement uses the same
-    projectors, |u_k><u_k|).
+def certify_med_optimality(ws: MatrixWorkspace) -> tuple[MedCertificate, MedCertificate]:
+    """Certify the minimum-error projectors |u_k><u_k| on both state
+    families in one pass: the pair (inputs, failure_states), 'inputs' on the
+    alphabet states and 'failure_states' on the normalized failure set,
+    whose minimum-error measurement uses the same projectors.
     """
-    states = {"inputs": ws.alpha_states, "failure_states": ws.beta_states}.get(which)
-    if states is None:
-        raise DomainError(f"which must be 'inputs' or 'failure_states', got {which!r}")
-    return certify_helstrom(ws.u_states, states, which=which)
+    defects, lows = _certify(ws.u_states, np.array((ws.alpha_states, ws.beta_states)))
+    return (_certificate("inputs", defects[0], lows[0]),
+            _certificate("failure_states", defects[1], lows[1]))

@@ -170,8 +170,8 @@ def test_criterion_5_closed_form_versus_brute_force():
                       for f in REPORT_FIELDS)
             worst = max(worst, gap)
             assert gap < 1e-9, (n, a2, gap)
-            assert certify_med_optimality(ws, which="inputs").passed, (n, a2)
-            assert certify_med_optimality(ws, which="failure_states").passed, (n, a2)
+            inputs, failure_states = certify_med_optimality(ws)
+            assert inputs.passed and failure_states.passed, (n, a2)
     elapsed = time.perf_counter() - start
     announce("criterion 5 (closed vs brute force + certificates)", True,
              f"worst field gap {worst:.2e} over 160 points, {elapsed:.2f}s")

@@ -124,6 +124,17 @@ def test_grid_covers_empty_branches():
     assert ir_columns(block).p_c_ir[1:].tolist() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("n", [2, 8])
+def test_p_s_stays_at_most_one(n):
+    # N * c_min^2 rounds to 1 + 2^-52 on full-separation rows (from alpha^2
+    # ~ 18.7 at N = 2 and ~ 130 at N = 8); unclamped, i_ud exceeded log2 N
+    # and gain turned negative there.
+    for block in coefficient_grid(n, np.linspace(0.0, 400.0, 40001)):
+        assert np.all(block.p_s <= 1.0)
+        assert np.all(info_columns(block).gain[block.full_separation] >= 0.0)
+    assert info_report(EnsembleSpec(n, 50.0 * n)).gain >= 0.0
+
+
 def test_empty_grid_yields_nothing():
     assert list(coefficient_grid(3, [])) == []
 

@@ -1,6 +1,7 @@
 """Brute-force matrix oracle and Helstrom optimality certificates."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,23 +141,33 @@ def test_brute_vacuum_adjacent_limit():
 # --- certificates ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("which", ["inputs", "failure_states"])
-def test_certificates_pass(which):
+def test_certificates_pass():
     ws = build_workspace(EnsembleSpec(4, 2.0))
-    cert = certify_med_optimality(ws, which=which)
-    assert cert.passed
-    assert cert.which == which
-    assert cert.hermiticity_defect < 1e-10
-    assert cert.worst_eigenvalue >= -1e-9
+    certs = certify_med_optimality(ws)
+    assert [cert.which for cert in certs] == ["inputs", "failure_states"]
+    for cert in certs:
+        assert cert.passed
+        assert cert.hermiticity_defect < 1e-10
+        assert cert.worst_eigenvalue >= -1e-9
+
+
+def test_certificate_pair_matches_single_family_certificates():
+    ws = build_workspace(EnsembleSpec(5, 1.5), basis="fock")
+    inputs, failure_states = certify_med_optimality(ws)
+    assert inputs == certify_helstrom(ws.u_states, ws.alpha_states, which="inputs")
+    assert failure_states == certify_helstrom(ws.u_states, ws.beta_states,
+                                              which="failure_states")
 
 
 def test_certificate_rejects_swapped_projectors():
-    # A deliberately wrong measurement must fail the optimality conditions.
+    # A deliberately wrong measurement must fail the optimality conditions,
+    # on the input states and on the failure states alike.
     ws = build_workspace(EnsembleSpec(3, 1.0))
     swapped = ws.u_states[[1, 0, 2]]
-    cert = certify_helstrom(swapped, ws.alpha_states, which="swapped")
-    assert not cert.passed
-    assert cert.worst_eigenvalue < -1e-3
+    for states in (ws.alpha_states, ws.beta_states):
+        cert = certify_helstrom(swapped, states, which="swapped")
+        assert not cert.passed
+        assert cert.worst_eigenvalue < -1e-3
 
 
 def test_certificate_count_mismatch():
@@ -165,10 +176,31 @@ def test_certificate_count_mismatch():
         certify_helstrom(ws.u_states[:2], ws.alpha_states)
 
 
-def test_certify_which_validation():
-    ws = build_workspace(EnsembleSpec(3, 1.0))
-    with pytest.raises(DomainError):
-        certify_med_optimality(ws, which="outputs")
+@pytest.mark.parametrize("n", [3, 8, 64])
+def test_certificates_do_not_depend_on_the_block_size(monkeypatch, n):
+    # Blocks of one matrix, blocks that leave a partial last block, and one
+    # block of all 2N matrices give bitwise the same certificates.
+    ws = build_workspace(EnsembleSpec(n, 2.0))
+    d2 = ws.dimension ** 2
+    results = []
+    for matrices in (1, 5, 2 * n):
+        monkeypatch.setattr(oracle, "GRID_BLOCK", matrices * d2)
+        results.append(certify_med_optimality(ws))
+    assert results[0] == results[1] == results[2]
+
+
+def test_certificate_memory_is_bounded():
+    # Formed all at once, the 2N matrices Gamma - rho_k/N at N = 128 take
+    # 64 MiB each time they are written; in blocks the pass stays far below.
+    ws = build_workspace(EnsembleSpec(128, 32.0))
+    tracemalloc.start()
+    try:
+        certs = certify_med_optimality(ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(cert.passed for cert in certs)
+    assert peak < 16 * 2 ** 20
 
 
 # --- operator structure ---------------------------------------------------------
