@@ -141,14 +141,16 @@ def test_brute_vacuum_adjacent_limit():
 # --- certificates ---------------------------------------------------------------
 
 
-def test_certificates_pass():
+@pytest.mark.parametrize("which", ["inputs", "failure_states"])
+def test_certificates_pass(which):
     ws = build_workspace(EnsembleSpec(4, 2.0))
     certs = certify_med_optimality(ws)
     assert [cert.which for cert in certs] == ["inputs", "failure_states"]
-    for cert in certs:
-        assert cert.passed
-        assert cert.hermiticity_defect < 1e-10
-        assert cert.worst_eigenvalue >= -1e-9
+    cert = certs[["inputs", "failure_states"].index(which)]
+    assert cert.passed
+    assert cert.which == which
+    assert cert.hermiticity_defect < 1e-10
+    assert cert.worst_eigenvalue >= -1e-9
 
 
 def test_certificate_pair_matches_single_family_certificates():
