@@ -18,7 +18,6 @@ from .discrim import (
 )
 from .ensemble import (
     BasisAmplitudes,
-    CoefficientBlock,
     CoefficientProfile,
     EnsembleSpec,
     basis_amplitudes,
@@ -57,7 +56,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BasisAmplitudes",
     "CertificationFailure",
-    "CoefficientBlock",
     "CoefficientProfile",
     "CubicSolution",
     "CutoffOverflow",

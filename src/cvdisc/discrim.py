@@ -13,16 +13,14 @@ states and measurement vectors.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ensemble import (
-    CoefficientBlock,
+    FULL_SEPARATION_EPS,
     CoefficientProfile,
     EnsembleSpec,
-    _empty_branch,
     _frozen,
     coefficients,
 )
@@ -46,8 +44,8 @@ class SeparationOperators:
 @dataclass(frozen=True)
 class DiscriminationReport:
     """All scalar figures of merit for one (N, alpha^2) point. From
-    ir_columns, each field is a column over the rows of a block, except
-    confidence_success, which is 1 on every row and stays the scalar 1.0.
+    ir_columns of a grid record, each field is a column over its rows,
+    except confidence_success, which stays the scalar 1.0.
 
     p_c_med = (1/N)(sum_j c_j)^2 is the Helstrom minimum-error probability,
     p_c_med_beta = (1/N)(sum_j b_j)^2 the same on the failure set.
@@ -147,18 +145,24 @@ def separation_operators(profile: CoefficientProfile) -> SeparationOperators:
 def failure_profile(profile: CoefficientProfile) -> CoefficientProfile:
     """The profile itself, checked to have a non-empty failure branch.
 
-    Raises FullSeparation, with the reason, when profile.b is None:
-    1 - p_s < 1e-15, or every coefficient lies in the degeneracy band of
-    c_min. The vacuum alphabet passes through with p_s = 0 and b = c.
+    Raises FullSeparation, with the reason, when profile.full_separation is
+    set: 1 - p_s < 1e-15 (named first), or every coefficient lies in the
+    degeneracy band of c_min. The vacuum alphabet passes through with
+    p_s = 0 and b = c.
     """
-    if profile.b is None:
-        raise FullSeparation(_empty_branch(profile.n_states, profile.p_s,
-                                           profile.multiplicity))
-    return profile
+    if not profile.full_separation:
+        return profile
+    n, p_s = profile.n_states, profile.p_s
+    if 1.0 - p_s < FULL_SEPARATION_EPS:
+        raise FullSeparation(f"separation succeeds with probability {p_s}; "
+                             "no failure states exist")
+    raise FullSeparation(f"all {n} live coefficients are degenerate "
+                         f"with c_min; failure space is empty (p_s={p_s})")
 
 
 def ir_report(spec: EnsembleSpec) -> DiscriminationReport:
-    """Assemble every scalar figure of merit for one alphabet.
+    """Every scalar figure of merit for one alphabet: ir_columns of its
+    profile, as floats.
 
     The recycled strategy succeeds with p_s and otherwise falls back on
     minimum error over the failure set, so
@@ -167,43 +171,34 @@ def ir_report(spec: EnsembleSpec) -> DiscriminationReport:
     and its failure state, and 1 - F/p_c_med lower-bounds the failure-set
     error probability.
     """
-    profile = coefficients(spec)
-    empty = profile.b is None
-    b = np.full(profile.n_states, math.nan) if empty else profile.b
-    figures = _ir_figures(profile.c, b, profile.p_s, empty)
-    return DiscriminationReport(**{k: float(v) for k, v in figures.items()},
-                                full_separation=empty)
+    columns = vars(ir_columns(coefficients(spec)))
+    return DiscriminationReport(**{k: v if isinstance(v, bool) else float(v)
+                                   for k, v in columns.items()})
 
 
-def ir_columns(block: CoefficientBlock) -> DiscriminationReport:
-    """ir_report for every row of a block: each field is a column."""
-    return DiscriminationReport(
-        **_ir_figures(block.c, block.b, block.p_s, block.full_separation),
-        full_separation=block.full_separation)
-
-
-def _ir_figures(c: np.ndarray, b: np.ndarray, p_s, empty) -> dict:
-    """The figures of ir_report but full_separation, over the leading axes
-    of c and b (..., N).
-
-    b is NaN where empty is set (the failure branch is empty), which makes
-    the failure-branch fields NaN there; p_c_ir takes its limit 1. The
-    batched matmul is the same dot product as c @ b on one row.
+def ir_columns(profile: CoefficientProfile) -> DiscriminationReport:
+    """The figures of ir_report over the rows of a profile: columns for a
+    grid record, numpy scalars for one point. b is NaN where full_separation
+    is set, which makes the failure-branch fields NaN there; p_c_ir takes
+    its limit 1. The batched matmul is the same dot product as c @ b on one
+    row.
     """
+    c, b, p_s = profile.c, profile.b, profile.p_s
     p_c_med = _med(c)
     p_c_med_beta = _med(b)
     fidelity = np.float_power(np.matmul(c[..., None, :], b[..., :, None])[..., 0, 0], 2.0)
-    return {
-        "p_s": p_s,
-        "p_c_med": p_c_med,
-        "p_c_med_beta": p_c_med_beta,
-        "p_c_ir": np.where(empty, 1.0, p_s + (1.0 - p_s) * p_c_med_beta),
-        "fidelity": fidelity,
-        "infidelity": 1.0 - fidelity,
-        "error_bound": np.maximum(0.0, 1.0 - fidelity / p_c_med),
-        "confidence_success": 1.0,
-        "confidence_failure": p_c_med_beta,
-    }
+    return DiscriminationReport(
+        p_s=p_s,
+        p_c_med=p_c_med,
+        p_c_med_beta=p_c_med_beta,
+        p_c_ir=np.where(profile.full_separation, 1.0, p_s + (1.0 - p_s) * p_c_med_beta),
+        fidelity=fidelity,
+        infidelity=1.0 - fidelity,
+        error_bound=np.maximum(0.0, 1.0 - fidelity / p_c_med),
+        confidence_success=1.0,
+        confidence_failure=p_c_med_beta,
+        full_separation=profile.full_separation,
+    )
 
 
 def joint_distribution(spec: EnsembleSpec) -> JointDistribution:
@@ -218,7 +213,7 @@ def joint_distribution(spec: EnsembleSpec) -> JointDistribution:
     profile = coefficients(spec)
     if profile.degenerate:
         raise DegenerateEnsemble("joint distribution undefined for a single-state alphabet")
-    if profile.b is None:
+    if profile.full_separation:
         # The declared failure branch is empty, so the success block carries
         # its limit weight 1 and the columns stay normalized.
         return JointDistribution(p_s=1.0, shift=_frozen(np.zeros(profile.n_states)))

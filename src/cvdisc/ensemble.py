@@ -98,18 +98,16 @@ class EnsembleSpec:
         a2 = self.alpha_sq
         c_sq = _fold(a2, n, math.floor(a2))
 
-        c = np.sqrt(c_sq)
         c_min_sq = float(c_sq.min())
         band = DEGENERACY_TOL * max(c_min_sq, 1e-300)
-        gaps = c_sq - c_min_sq
-        degenerate_mask = gaps <= band
-        near_band_edge = bool(((gaps >= band / 10.0) & (gaps <= band * 10.0)).any())
-
+        degenerate_mask = c_sq - c_min_sq <= band
         c_min = math.sqrt(c_min_sq)
         multiplicity = int(degenerate_mask.sum())
         p_s = min(1.0, n * c_min ** 2)
-        b = spectrum = None
-        if _empty_branch(n, p_s, multiplicity) is None:
+        full_separation = 1.0 - p_s < FULL_SEPARATION_EPS or multiplicity == n
+        if full_separation:
+            b = spectrum = _frozen(np.full(n, math.nan))
+        else:
             # Clamp before the square root: rounding can land c_j^2 - p_s/N
             # near -1e-17 on entries that are analytically zero.
             raw = (c_sq - p_s / n) / (1.0 - p_s)
@@ -118,24 +116,25 @@ class EnsembleSpec:
             spectrum = _frozen(_failure_spectrum(b))
 
         return CoefficientProfile(
+            alpha_sq=a2,
             c_sq=_frozen(c_sq),
-            c=_frozen(c),
+            c=_frozen(np.sqrt(c_sq)),
             c_min=c_min,
             multiplicity=multiplicity,
             degenerate_mask=_frozen(degenerate_mask),
-            degenerate=int(np.count_nonzero(c_sq)) == 1,
-            near_band_edge=near_band_edge,
             p_s=p_s,
             b=b,
             spectrum=spectrum,
-            failure_dim=n - multiplicity,
+            full_separation=full_separation,
         )
 
 
 @dataclass(frozen=True)
 class CoefficientProfile:
-    """Everything one (N, alpha^2) point fixes: coefficients, separation
-    success probability and failure profile.
+    """Everything an (N, alpha^2) point fixes: coefficients, separation
+    success probability and failure profile. From coefficients, one point:
+    scalars and length-N arrays. From coefficient_grid, a block of rows, row
+    r for alpha_sq[r]: (rows, N) arrays and columns, the properties too.
 
     c_sq[j] is the squared coefficient of basis vector j (a probability),
     c[j] its nonnegative square root. c_min is the smallest coefficient, 0
@@ -151,54 +150,50 @@ class CoefficientProfile:
     clamped at 1 (rounding lifts it above on rows that separate fully). b is
     the coefficient vector of the normalized failure states,
     b[j] = sqrt((c_j^2 - p_s/N) / (1 - p_s)), clamped at zero and exactly
-    zero on entries degenerate with c_min; it is None exactly when the
-    failure branch is empty (1 - p_s < FULL_SEPARATION_EPS, or every entry
-    is degenerate with c_min). spectrum[k] = (1/N) |sum_l w^(-kl) b_l|^2 is
-    the failure spectrum of b (one FFT, see _failure_spectrum), None with b:
-    the failure posterior is it normalised, and the failure block of the
-    joint distribution is (1 - p_s) times it, shifted. failure_dim = N -
-    multiplicity is the dimension spanned by the failure set.
+    zero on entries degenerate with c_min. spectrum[k] = (1/N) |sum_l
+    w^(-kl) b_l|^2 is the failure spectrum of b (one FFT, see
+    _failure_spectrum): the failure posterior is it normalised, and the
+    failure block of the joint distribution is (1 - p_s) times it, shifted.
+    failure_dim = N - multiplicity is the dimension spanned by the failure
+    set.
+
+    full_separation marks an empty failure branch, where b and spectrum are
+    NaN: 1 - p_s < FULL_SEPARATION_EPS, or every entry is degenerate with
+    c_min (the failure space then has dimension zero though p_s has not
+    numerically reached 1). The vacuum alphabet has p_s = 0 and a
+    one-dimensional failure space.
     """
 
+    alpha_sq: float
     c_sq: np.ndarray
     c: np.ndarray
     c_min: float
     multiplicity: int
     degenerate_mask: np.ndarray
-    degenerate: bool
-    near_band_edge: bool
     p_s: float
-    b: np.ndarray | None
-    spectrum: np.ndarray | None
-    failure_dim: int
+    b: np.ndarray
+    spectrum: np.ndarray
+    full_separation: bool
 
     @property
     def n_states(self) -> int:
-        return self.c_sq.shape[0]
+        return self.c_sq.shape[-1]
 
+    @property
+    def failure_dim(self):
+        return self.n_states - self.multiplicity
 
-@dataclass(frozen=True)
-class CoefficientBlock:
-    """CoefficientProfile for a block of alpha^2 values at one N, less the
-    flags degenerate and near_band_edge.
+    @property
+    def degenerate(self):
+        # np.count_nonzero along an axis takes numpy's slow path.
+        return (self.c_sq != 0.0).sum(axis=-1) == 1
 
-    Row r belongs to alpha_sq[r]: c_sq, c, degenerate_mask, b and spectrum
-    are (rows, N) arrays, every other field a column with one entry per row.
-    b and spectrum are NaN on the rows whose failure branch is empty, and
-    full_separation marks those rows.
-    """
-
-    alpha_sq: np.ndarray
-    c_sq: np.ndarray
-    c: np.ndarray
-    c_min: np.ndarray
-    multiplicity: np.ndarray
-    degenerate_mask: np.ndarray
-    p_s: np.ndarray
-    b: np.ndarray
-    spectrum: np.ndarray
-    failure_dim: np.ndarray
-    full_separation: np.ndarray
+    @property
+    def near_band_edge(self):
+        c_min_sq = self.c_sq.min(axis=-1, keepdims=True)
+        band = DEGENERACY_TOL * np.maximum(c_min_sq, 1e-300)
+        gaps = self.c_sq - c_min_sq
+        return ((gaps >= band / 10.0) & (gaps <= band * 10.0)).any(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -221,7 +216,7 @@ class BasisAmplitudes:
 
 def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
     """Evaluate the squared coefficients, classify the minimum, and decide
-    the failure branch once: p_s, b, its spectrum and failure_dim as
+    the failure branch once: p_s, b, its spectrum and full_separation as
     CoefficientProfile describes them.
 
     c_j^2 is the Poisson weight e^(-alpha^2) alpha^(2k)/k! summed over
@@ -231,8 +226,8 @@ def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
     full relative precision down to underflow; np.longdouble, where it is
     wider than a double, makes the entries correctly rounded. Entries within
     DEGENERACY_TOL * max(c_min^2, 1e-300) of c_min^2 count toward the
-    multiplicity. coefficient_grid gives the same c_sq, p_s, b, spectrum
-    and failure decision, bit for bit, for many alpha^2 at once.
+    multiplicity. coefficient_grid gives the same record, bit for bit, as
+    columns over many alpha^2 at once.
 
     One evaluation per spec object: the profile is computed on the first
     call and kept on the spec, so every later call with the same spec object
@@ -242,9 +237,9 @@ def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
     return spec._profile
 
 
-def coefficient_grid(n: int, alpha_sq) -> Iterator[CoefficientBlock]:
+def coefficient_grid(n: int, alpha_sq) -> Iterator[CoefficientProfile]:
     """coefficients over a 1-D array of alpha^2 values, as consecutive
-    CoefficientBlocks of at most GRID_BLOCK // N rows each.
+    CoefficientProfile blocks of at most GRID_BLOCK // N rows each.
 
     Row r of the blocks is bit for bit coefficients(EnsembleSpec(n,
     alpha_sq[r])): every value is checked as EnsembleSpec checks it, and
@@ -311,7 +306,7 @@ def _running_products(a2: np.ndarray, mode: int, low: int, high: int) -> np.ndar
     return np.concatenate((down[..., ::-1], np.ones(a2.shape, np.longdouble), up), axis=-1)
 
 
-def _classify(alpha_sq: np.ndarray, c_sq: np.ndarray) -> CoefficientBlock:
+def _classify(alpha_sq: np.ndarray, c_sq: np.ndarray) -> CoefficientProfile:
     """The classification of coefficients(), on every row of c_sq at once.
 
     coefficients() keeps its one-row form because numpy calls on one row
@@ -332,7 +327,7 @@ def _classify(alpha_sq: np.ndarray, c_sq: np.ndarray) -> CoefficientBlock:
     # Dividing by NaN makes b, and so the spectrum, NaN on empty rows.
     raw /= np.where(empty, np.nan, 1.0 - p_s)[:, None]
     b = np.sqrt(np.maximum(raw, 0.0))
-    return CoefficientBlock(
+    return CoefficientProfile(
         alpha_sq=alpha_sq,
         c_sq=c_sq,
         c=np.sqrt(c_sq),
@@ -342,7 +337,6 @@ def _classify(alpha_sq: np.ndarray, c_sq: np.ndarray) -> CoefficientBlock:
         p_s=p_s,
         b=b,
         spectrum=_failure_spectrum(b),
-        failure_dim=n - multiplicity,
         full_separation=empty,
     )
 
@@ -355,23 +349,6 @@ def _failure_spectrum(b: np.ndarray) -> np.ndarray:
     b is real, symmetric under k -> -k. Nonnegative by construction.
     """
     return np.abs(np.fft.fft(b)) ** 2 / b.shape[-1]
-
-
-def _empty_branch(n: int, p_s: float, multiplicity: int) -> str | None:
-    """Why the failure branch of a point is empty, or None when it is not.
-
-    It is empty when 1 - p_s < FULL_SEPARATION_EPS, or when every
-    coefficient lies in the degeneracy band of c_min: then the declared
-    failure space has dimension zero even though p_s has not numerically
-    reached 1 (large alphabets near orthogonality). The vacuum alphabet has
-    p_s = 0 and a one-dimensional failure space.
-    """
-    if 1.0 - p_s < FULL_SEPARATION_EPS:
-        return f"separation succeeds with probability {p_s}; no failure states exist"
-    if multiplicity == n:
-        return (f"all {n} live coefficients are degenerate "
-                f"with c_min; failure space is empty (p_s={p_s})")
-    return None
 
 
 def gram(spec: EnsembleSpec) -> np.ndarray:

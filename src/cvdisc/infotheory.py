@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrim import failure_profile
-from .ensemble import CoefficientBlock, CoefficientProfile, EnsembleSpec, _frozen, coefficients
+from .ensemble import CoefficientProfile, EnsembleSpec, _frozen, coefficients
 from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class InfoReport:
     """Mutual informations in bits: unambiguous-only, recycled, and their
-    gap; from info_columns, one column per field over the rows of a block."""
+    gap; from info_columns of a grid record, columns over its rows."""
 
     i_ud: float
     i_ir: float
@@ -34,6 +34,8 @@ def shannon_entropy(probs) -> float:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise DomainError("probs must be a nonempty 1-D vector")
+    if not np.isfinite(p).all():
+        raise DomainError(f"probabilities must be finite, got {p[~np.isfinite(p)][0]}")
     if np.any(p < -1e-12):
         raise DomainError(f"negative probability {p.min():.3e}")
     total = float(p.sum())
@@ -69,7 +71,8 @@ def _posterior(spectrum: np.ndarray) -> np.ndarray:
 
 
 def info_report(spec: EnsembleSpec) -> InfoReport:
-    """Mutual informations of the unambiguous-only and recycled strategies.
+    """Mutual informations of the unambiguous-only and recycled strategies:
+    info_columns of the alphabet's profile, as floats.
 
     i_ud = p_s * log2(N); i_ir = log2(N) - (1 - p_s) * H(failure posterior),
     using the symmetry reduction that makes every failure outcome's posterior
@@ -77,24 +80,16 @@ def info_report(spec: EnsembleSpec) -> InfoReport:
     and i_ir = log2(N) by the empty-failure-branch limit. The vacuum alphabet
     passes through with i_ud = i_ir = 0.
     """
-    profile = coefficients(spec)
-    empty = profile.spectrum is None
-    spectrum = np.full(profile.n_states, math.nan) if empty else profile.spectrum
-    figures = _info_figures(spectrum, profile.p_s, empty)
-    return InfoReport(**{k: float(v) for k, v in figures.items()})
+    return InfoReport(**{k: float(v) for k, v in vars(info_columns(coefficients(spec))).items()})
 
 
-def info_columns(block: CoefficientBlock) -> InfoReport:
-    """info_report for every row of a block: each field is a column."""
-    return InfoReport(**_info_figures(block.spectrum, block.p_s, block.full_separation))
-
-
-def _info_figures(spectrum: np.ndarray, p_s, empty) -> dict:
-    """The figures of info_report over the leading axes of the failure
-    spectrum (..., N); it is NaN where empty is set (the failure branch is
-    empty), and h_fail and i_ir take their limits 0 and log2 N there."""
-    log2n = math.log2(spectrum.shape[-1])
-    i_ud = p_s * log2n
-    h_fail = np.where(empty, 0.0, _entropy_bits(_posterior(spectrum)))
-    i_ir = log2n - (1.0 - p_s) * h_fail
-    return {"i_ud": i_ud, "i_ir": i_ir, "gain": i_ir - i_ud, "h_fail": h_fail}
+def info_columns(profile: CoefficientProfile) -> InfoReport:
+    """The figures of info_report over the rows of a profile: columns for a
+    grid record, numpy scalars for one point. The spectrum is NaN where
+    full_separation is set, and h_fail and i_ir take their limits 0 and
+    log2 N there."""
+    log2n = math.log2(profile.n_states)
+    i_ud = profile.p_s * log2n
+    h_fail = np.where(profile.full_separation, 0.0, _entropy_bits(_posterior(profile.spectrum)))
+    i_ir = log2n - (1.0 - profile.p_s) * h_fail
+    return InfoReport(i_ud=i_ud, i_ir=i_ir, gain=i_ir - i_ud, h_fail=h_fail)

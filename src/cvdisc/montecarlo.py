@@ -36,6 +36,8 @@ class MCConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.spec, EnsembleSpec):
+            raise DomainError(f"spec must be an EnsembleSpec, got {self.spec!r}")
         if self.spec.n_states > N_STATES_CAP:
             raise DomainError(f"n_states {self.spec.n_states} exceeds cap {N_STATES_CAP}")
         if isinstance(self.shots, bool) or not isinstance(self.shots, (int, np.integer)):

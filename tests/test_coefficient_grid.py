@@ -1,11 +1,13 @@
 """The alpha^2 grid kernel against the one-point path, bit for bit."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cvdisc import (
+    CoefficientProfile,
     DomainError,
     EnsembleSpec,
     coefficient_grid,
@@ -15,13 +17,12 @@ from cvdisc import (
     ir_columns,
     ir_report,
 )
+from cvdisc.analytic3 import KINK_PERIOD
 from cvdisc.ensemble import GRID_BLOCK, MAX_ALPHA_SQ, _fold
 
-PROFILE_FIELDS = ("c_sq", "c", "c_min", "multiplicity", "degenerate_mask", "p_s",
-                  "failure_dim")
-# Fields that are None on a profile whose failure branch is empty, and NaN on
-# its grid row.
-FAILURE_FIELDS = ("b", "spectrum")
+# Every field of the record, and every property that has one value per row.
+RECORD_FIELDS = (*(field.name for field in dataclasses.fields(CoefficientProfile)),
+                 "failure_dim", "degenerate", "near_band_edge")
 
 
 def grid_values(n):
@@ -61,6 +62,7 @@ def test_grid_rows_equal_the_one_point_path(n):
     assert all(len(block.alpha_sq) <= max(1, GRID_BLOCK // n) for block in blocks)
     rows = []
     for block in blocks:
+        assert isinstance(block, CoefficientProfile) and block.n_states == n
         ir_col, info_col = vars(ir_columns(block)), vars(info_columns(block))
         rows += [(block, r, ir_col, info_col) for r in range(len(block.alpha_sq))]
     assert len(rows) == len(values)
@@ -69,13 +71,8 @@ def test_grid_rows_equal_the_one_point_path(n):
         assert block.alpha_sq[r] == a2, where
         spec = EnsembleSpec(n, float(a2))
         profile = coefficients(spec)
-        for field in PROFILE_FIELDS:
+        for field in RECORD_FIELDS:
             assert same_bits(getattr(block, field)[r], getattr(profile, field)), (where, field)
-        assert block.full_separation[r] == (profile.b is None), where
-        for field in FAILURE_FIELDS:
-            value = getattr(profile, field)
-            expect = np.full(n, np.nan) if value is None else value
-            assert same_bits(getattr(block, field)[r], expect), (where, field)
         for name, value in vars(ir_report(spec)).items():
             assert same_bits(np.broadcast_to(ir_col[name], block.p_s.shape)[r], value), \
                 (where, name)
@@ -114,6 +111,19 @@ def test_grid_p_s_on_a_dense_draw():
     p_s = np.concatenate([block.p_s for block in coefficient_grid(5, values)])
     expect = [coefficients(EnsembleSpec(5, float(a2))).p_s for a2 in values]
     assert same_bits(p_s, expect)
+
+
+def test_grid_flags_at_the_vacuum_and_the_band_edge():
+    # grid_values reach no band edge: 6e-8 past the N = 3 kink a c^2 gap
+    # sits within a decade of the degeneracy band, 1e-6 past it not.
+    values = [0.0, KINK_PERIOD, KINK_PERIOD + 6e-8, KINK_PERIOD + 1e-6, 1.0]
+    (block,) = coefficient_grid(3, values)
+    assert block.degenerate.tolist() == [True, False, False, False, False]
+    assert block.near_band_edge.tolist() == [False, False, True, False, False]
+    for r, a2 in enumerate(values):
+        profile = coefficients(EnsembleSpec(3, a2))
+        for field in ("degenerate", "near_band_edge", "failure_dim"):
+            assert getattr(block, field)[r] == getattr(profile, field), (a2, field)
 
 
 def test_grid_covers_empty_branches():

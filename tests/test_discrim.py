@@ -13,7 +13,6 @@ from cvdisc import (
     FullSeparation,
     build_workspace,
     coefficients,
-    ensemble,
     failure_posterior,
     failure_profile,
     info_report,
@@ -44,23 +43,20 @@ REPORT_3_08 = {
 }
 
 
-def synthetic_profile(c_sq, degenerate_with_min=None, b=None):
-    """Build a profile directly from squared coefficients. b is taken as
-    given, with its spectrum; the default None declares the failure branch
-    empty."""
+def synthetic_profile(c_sq, degenerate_with_min=None):
+    """Build a one-point profile directly from squared coefficients, its
+    failure branch declared empty: b and spectrum NaN, full_separation set."""
     c_sq = np.asarray(c_sq, dtype=float)
     n = c_sq.shape[0]
     c = np.sqrt(c_sq)
     deg = np.zeros(n, dtype=bool)
     if degenerate_with_min is not None:
         deg[list(degenerate_with_min)] = True
-    multiplicity = int(max(deg.sum(), 1))
+    empty = np.full(n, math.nan)
     return CoefficientProfile(
-        c_sq=c_sq, c=c, c_min=float(c.min()), multiplicity=multiplicity,
-        degenerate_mask=deg, degenerate=False, near_band_edge=False,
-        p_s=n * float(c.min()) ** 2, b=b,
-        spectrum=None if b is None else ensemble._failure_spectrum(np.asarray(b)),
-        failure_dim=n - multiplicity)
+        alpha_sq=math.nan, c_sq=c_sq, c=c, c_min=float(c.min()),
+        multiplicity=int(max(deg.sum(), 1)), degenerate_mask=deg,
+        p_s=n * float(c.min()) ** 2, b=empty, spectrum=empty, full_separation=True)
 
 
 # --- p_c_med (Helstrom) / p_s (unambiguous success) -------------------------
@@ -226,13 +222,14 @@ def test_full_separation_exception_from_failure_profile():
 
 # (3, 45) empties the branch through 1 - p_s, (3, 16) through an all-degenerate
 # minimum; the vacuum and the ordinary points keep it. Which alpha^2 is empty
-# is not pinned: the test only asks that every view agrees with profile.b.
+# is not pinned: the test only asks that every view agrees with
+# profile.full_separation.
 @pytest.mark.parametrize("n,alpha_sq", [(3, 45.0), (3, 16.0), (3, 0.0), (3, 1.0),
                                         (5, 1.5), (8, 2.0)])
 def test_single_sentinel_decision(n, alpha_sq):
     spec = EnsembleSpec(n, alpha_sq)
     profile = coefficients(spec)
-    empty = profile.b is None
+    empty = profile.full_separation
     assert empty == (1.0 - profile.p_s < 1e-15 or profile.multiplicity == n)
     assert ir_report(spec).full_separation == empty
     info = info_report(spec)
@@ -306,7 +303,7 @@ def test_joint_blocks_are_the_indexed_forms(n, alpha_sq):
     spec = EnsembleSpec(n, alpha_sq)
     profile = coefficients(spec)
     p_s, shift = 1.0, np.zeros(n)
-    if profile.b is not None:
+    if not profile.full_separation:
         p_s = profile.p_s
         shift = (1.0 - p_s) * (np.abs(np.fft.fft(profile.b)) ** 2 / n)
     idx = np.arange(n)

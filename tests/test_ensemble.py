@@ -18,6 +18,7 @@ from cvdisc import (
     EnsembleSpec,
     basis_amplitudes,
     build_workspace,
+    coefficient_grid,
     coefficients,
     ensemble,
     gram,
@@ -160,6 +161,24 @@ def test_small_amplitude_entry_is_resolved():
     assert not profile.degenerate
 
 
+@pytest.mark.parametrize("n,alpha_sq", [(3, 45.0), (3, 16.0), (2, 50.0), (3, 0.0), (3, 1.0),
+                                        (8, 2.0)])
+def test_empty_branch_has_one_form_on_both_routes(n, alpha_sq):
+    # No field is ever None: b and spectrum are NaN exactly where
+    # full_separation is set, on a one-point record and on a grid row alike.
+    (block,) = coefficient_grid(n, [alpha_sq])
+    profile = coefficients(EnsembleSpec(n, alpha_sq))
+    for record in (profile, block):
+        assert all(getattr(record, f.name) is not None for f in dataclasses.fields(record))
+        for field in (record.b, record.spectrum):
+            assert np.array_equal(np.isnan(field).all(axis=-1), record.full_separation)
+            assert np.array_equal(np.isnan(field).any(axis=-1), record.full_separation)
+    # One point: scalars, as the report lines print them.
+    assert type(profile.full_separation) is bool and type(profile.p_s) is float
+    assert type(profile.multiplicity) is int and type(profile.failure_dim) is int
+    assert block.full_separation.tolist() == [profile.full_separation]
+
+
 def test_profile_arrays_are_immutable():
     profile = coefficients(EnsembleSpec(3, 1.0))
     with pytest.raises(ValueError):
@@ -171,12 +190,8 @@ def test_profile_arrays_are_immutable():
 
 def bitwise_equal_profiles(p, q):
     for field in dataclasses.fields(CoefficientProfile):
-        x, y = getattr(p, field.name), getattr(q, field.name)
-        if x is None or y is None:
-            assert x is y, field.name
-        else:
-            x, y = np.asarray(x), np.asarray(y)
-            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
+        x, y = np.asarray(getattr(p, field.name)), np.asarray(getattr(q, field.name))
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
 
 
 def count_folds(monkeypatch):

@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name in src/ and tests/ is referenced, and
-no command loads scipy."""
+"""Source hygiene: every imported name in src/ and tests/ is referenced, no
+cvdisc module imports a sibling's private name but _frozen, and no command
+loads scipy."""
 
 import ast
 import json
@@ -47,6 +48,38 @@ def test_detects_an_unused_import(tmp_path):
                       "import os\nimport numpy as np\nfrom math import pi, tau\n"
                       "print(np.pi, tau)\n")
     assert unused_imports(module) == [(2, "os"), (4, "pi")]
+
+
+# The one private helper shared across modules: it marks arrays read-only.
+SHARED_PRIVATE = {"_frozen"}
+
+
+def private_imports(path):
+    """(line, name) of every private name (one with a leading underscore)
+    that the module imports from its own package, other than
+    SHARED_PRIVATE."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return sorted((node.lineno, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or (node.module or "").split(".")[0] == "cvdisc")
+                  for alias in node.names
+                  if alias.name.startswith("_") and alias.name not in SHARED_PRIVATE)
+
+
+def test_no_private_imports_across_modules():
+    files = sorted((ROOT / "src" / "cvdisc").glob("*.py"))
+    assert files
+    found = [f"{p.relative_to(ROOT)}:{line}: {name}"
+             for p in files for line, name in private_imports(p)]
+    assert not found, "private names imported from a sibling module:\n" + "\n".join(found)
+
+
+def test_detects_a_private_import(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("from .ensemble import _frozen, _fold, coefficients\n"
+                      "from cvdisc.discrim import _med\nfrom os.path import _joinrealpath\n"
+                      "from . import _private\n")
+    assert private_imports(module) == [(1, "_fold"), (2, "_med"), (4, "_private")]
 
 
 def checkout_env():

@@ -47,6 +47,10 @@ def test_entropy_half_quarter_quarter():
     [0.3, 0.3],
     [0.5, 0.6],
     [[0.5, 0.5]],
+    # abs(nan - 1) > 1e-8 is False: the sum check alone lets a NaN through.
+    [math.nan, 1.0],
+    [1.0, math.nan, 0.0],
+    [math.inf, 0.0],
 ])
 def test_entropy_rejects_bad_input(probs):
     with pytest.raises(DomainError):

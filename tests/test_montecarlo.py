@@ -42,6 +42,13 @@ def test_rejects_bad_seed(seed):
         MCConfig(spec=SPEC, shots=10, seed=seed)
 
 
+@pytest.mark.parametrize("spec", [(3, 1.0), None, "spec"])
+def test_rejects_spec_that_is_not_a_spec(spec):
+    # A tuple has no n_states: the type is checked before any field is read.
+    with pytest.raises(DomainError, match="spec must be an EnsembleSpec"):
+        MCConfig(spec=spec, shots=10, seed=1)
+
+
 def test_rejects_shots_beyond_cap():
     # Validation runs in __post_init__, before anything is allocated.
     with pytest.raises(DomainError):
