@@ -23,7 +23,6 @@ from .ensemble import (
     basis_amplitudes,
     coefficient_grid,
     coefficients,
-    gram,
 )
 from .errors import (
     CertificationFailure,
@@ -49,6 +48,8 @@ from .oracle import (
     build_workspace,
     certify_helstrom,
     certify_med_optimality,
+    gram,
+    gram_probabilities,
 )
 
 __version__ = "1.0.0"
@@ -84,6 +85,7 @@ __all__ = [
     "failure_posterior",
     "failure_profile",
     "gram",
+    "gram_probabilities",
     "info_columns",
     "info_report",
     "ir_columns",

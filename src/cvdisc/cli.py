@@ -10,7 +10,7 @@ makes one coefficient_grid call over its whole alpha^2 grid and writes each
 block of rows from the column views ir_columns and info_columns, one format
 string per CSV row. mc takes its table's columns and its 6 sigma flag as
 arrays from the sampled joint record, GRID_BLOCK cells at a time, and formats
-each row with one format string too.
+each row with one format string too; its counts CSV walks the same blocks.
 
 The argparse parser is built once per process, on the first main call, and
 reused: parsing does not change it.
@@ -171,11 +171,23 @@ def _any_beyond_6_sigma(count: np.ndarray, expected: np.ndarray, z: np.ndarray) 
         map(_beyond_6_sigma, k[near].tolist(), lam[near].tolist(), z[low][near].tolist()))
 
 
+def _cell_blocks(counts: np.ndarray) -> Iterator[tuple[int, np.ndarray, list[list]]]:
+    """The (prep, outcome, branch) cells of counts in blocks of whole preps,
+    at most GRID_BLOCK cells each (at least one prep): the first prep, the
+    block's counts and its prep, outcome and branch columns in row order."""
+    n = counts.shape[0]
+    rows = max(1, GRID_BLOCK // (2 * n))
+    for start in range(0, n, rows):
+        count = counts[start:start + rows]
+        k, kp, _ = np.indices(count.shape).reshape(3, -1)
+        yield start, count, [(k + start).tolist(), kp.tolist(), ["s", "f"] * (k.size // 2)]
+
+
 def _count_rows(counts: np.ndarray) -> Iterator[str]:
     """The counts CSV: the header, then one row per (prep, outcome, branch)."""
     yield "prep,outcome,branch,count\n"
-    for (k, kp, br), count in np.ndenumerate(counts):
-        yield f"{k},{kp},{'sf'[br]},{count}\n"
+    for _, count, index in _cell_blocks(counts):
+        yield "".join("%d,%d,%s,%d\n" % row for row in zip(*index, count.ravel().tolist()))
 
 
 def _mc_table(result: montecarlo.MCResult) -> tuple[float, bool]:
@@ -186,12 +198,10 @@ def _mc_table(result: montecarlo.MCResult) -> tuple[float, bool]:
     n = joint.n_states
     worst_z, flagged = 0.0, False
     print("prep outcome branch      count    empirical     analytic        z")
-    rows = max(1, GRID_BLOCK // (2 * n))
-    for start in range(0, n, rows):
-        count = result.counts[start:start + rows]
+    for start, count, index in _cell_blocks(result.counts):
         # Analytic probability of (prep k, outcome k', branch): uniform
         # prior over preparations times the conditional joint.
-        prob = joint.columns(start, start + rows) / n
+        prob = joint.columns(start, start + len(count)) / n
         emp = count / shots
         sigma = np.sqrt(prob * (1.0 - prob) / shots)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -199,9 +209,7 @@ def _mc_table(result: montecarlo.MCResult) -> tuple[float, bool]:
                          np.where(emp == prob, 0.0, math.inf))
         worst_z = max(worst_z, float(np.abs(z).max()))
         flagged = flagged or _any_beyond_6_sigma(count, prob * shots, z)
-        k, kp, _ = np.indices(count.shape).reshape(3, -1)
-        columns = [(k + start).tolist(), kp.tolist(), ["s", "f"] * (k.size // 2),
-                   count.ravel().tolist(), emp.ravel().tolist(),
+        columns = [*index, count.ravel().tolist(), emp.ravel().tolist(),
                    prob.ravel().tolist(), z.ravel().tolist()]
         sys.stdout.write("".join(_MC_ROW % row for row in zip(*columns)))
     return worst_z, flagged

@@ -5,8 +5,8 @@ and alpha real, all equiprobable. Every derived quantity depends on alpha only
 through the mean photon number alpha^2. This module computes the exact
 finite-sum decomposition of the alphabet: the amplitude coefficients c_j over
 the symmetric orthonormal basis together with the separation success
-probability and failure profile they fix, the Gram matrix of mutual overlaps,
-and the Fock-space amplitudes of the basis vectors.
+probability and failure profile they fix, and the Fock-space amplitudes of
+the basis vectors.
 
 Everything here needs numpy alone. The coefficients and the Fock route share
 one construction: Poisson weights p_k = e^(-alpha^2) alpha^(2k) / k! as
@@ -349,19 +349,6 @@ def _failure_spectrum(b: np.ndarray) -> np.ndarray:
     b is real, symmetric under k -> -k. Nonnegative by construction.
     """
     return np.abs(np.fft.fft(b)) ** 2 / b.shape[-1]
-
-
-def gram(spec: EnsembleSpec) -> np.ndarray:
-    """Overlap matrix G[j][k] = exp(alpha^2 * (w^(k-j) - 1)).
-
-    Circulant, Hermitian, with unit diagonal; off-diagonal magnitudes decay
-    as exp(-alpha^2 * (1 - cos(2*pi*(k-j)/N))). The array is read-only.
-    """
-    n = spec.n_states
-    idx = np.arange(n)
-    diff = idx[None, :] - idx[:, None]
-    entries = np.exp(spec.alpha_sq * (np.exp(2j * np.pi * diff / n) - 1.0))
-    return _frozen(entries)
 
 
 def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:

@@ -13,9 +13,10 @@ rebuilt: build_workspace takes the coefficients and the failure profile b
 from one ensemble.coefficients record, and the separation Kraus diagonals
 from discrim. Agreement between the two paths therefore checks the assembly,
 the trace-derived probabilities and the Helstrom certificates against the
-closed forms in discrim, not the choice of separation; the acceptance tests
-check that against the Gram matrix. The Fock-basis checks allow for the
-measured truncation of each basis row.
+closed forms in discrim, not the choice of separation. The Gram route checks
+that: gram_probabilities derives every report field from the eigenvalues of
+the overlap matrix gram alone, reading nothing from the kernel. The
+Fock-basis checks allow for the measured truncation of each basis row.
 """
 
 from __future__ import annotations
@@ -117,11 +118,12 @@ def build_workspace(spec: EnsembleSpec,
     weights = np.array((profile.c, np.full(n, n ** -0.5), profile.b))
     alpha_states, u_states, beta_states = _frozen((phases * weights[:, None, :]) @ phi_rows)
 
-    # Success and failure Kraus operators as one stack; row k of
-    # u_states @ A.conj() is (A^dagger u_k)^T.
-    diags = np.array((sep.a_success_diag, sep.a_failure_diag))
-    kraus = (phi_rows.T * diags[:, None, :]) @ phi_rows.conj()
-    success_vectors, failure_vectors = _frozen(u_states @ kraus.conj())
+    # Row k of u_states @ A.conj() is (A^dagger u_k)^T. Each Kraus operator
+    # A lives only inside its own expression, so at most one d x d
+    # operator is held at a time.
+    success_vectors, failure_vectors = (
+        _frozen(u_states @ ((phi_rows.T * diag) @ phi_rows.conj()).conj())
+        for diag in (sep.a_success_diag, sep.a_failure_diag))
     span = phi_rows.T @ phi_rows.conj()
 
     ws = MatrixWorkspace(
@@ -135,13 +137,16 @@ def build_workspace(spec: EnsembleSpec,
 
 
 def _check_construction(ws: MatrixWorkspace, norm_defect: float) -> None:
-    # The three element sums sum_k |v_k><v_k|, one per vector set.
-    vectors = np.array((ws.u_states, ws.success_vectors, ws.failure_vectors))
-    med_sum, success_sum, failure_sum = vectors.transpose(0, 2, 1) @ vectors.conj()
-    if float(np.max(np.abs(med_sum - ws.span_projector))) > _COMPLETENESS_TOL:
+    # Each element sum sum_k |v_k><v_k| is v.T @ v.conj(); one d x d
+    # residual is held at a time, reduced in place.
+    residual = ws.u_states.T @ ws.u_states.conj()
+    residual -= ws.span_projector
+    if float(np.max(np.abs(residual))) > _COMPLETENESS_TOL:
         raise CertificationFailure("minimum-error projectors do not resolve the span")
-    chain_tol = _COMPLETENESS_TOL + 2.0 * norm_defect
-    if float(np.max(np.abs(success_sum + failure_sum - ws.span_projector))) > chain_tol:
+    residual = ws.success_vectors.T @ ws.success_vectors.conj()
+    residual += ws.failure_vectors.T @ ws.failure_vectors.conj()
+    residual -= ws.span_projector
+    if float(np.max(np.abs(residual))) > _COMPLETENESS_TOL + 2.0 * norm_defect:
         raise CertificationFailure("two-stage POVM does not resolve the span")
 
 
@@ -192,6 +197,45 @@ def brute_force_probabilities(ws: MatrixWorkspace) -> DiscriminationReport:
         error_bound=max(0.0, 1.0 - fidelity / p_c_med),
         confidence_success=success / success_total,
         confidence_failure=failure / failure_total,
+    )
+
+
+def gram(spec: EnsembleSpec) -> np.ndarray:
+    """Overlap matrix G[j][k] = exp(alpha^2 * (w^(k-j) - 1)).
+
+    Circulant, Hermitian, with unit diagonal; off-diagonal magnitudes decay
+    as exp(-alpha^2 * (1 - cos(2*pi*(k-j)/N))). The array is read-only.
+    """
+    n = spec.n_states
+    idx = np.arange(n)
+    diff = idx[None, :] - idx[:, None]
+    entries = np.exp(spec.alpha_sq * (np.exp(2j * np.pi * diff / n) - 1.0))
+    return _frozen(entries)
+
+
+def gram_probabilities(spec: EnsembleSpec) -> DiscriminationReport:
+    """Every report field from the eigenvalues lam of the Gram matrix alone,
+    with nothing read from the kernel.
+
+    p_s = min(lam) (Chefles and Barnett, Phys. Lett. A 250, 223 (1998)); the
+    failure states have Gram matrix (G - p_s 1)/(1 - p_s), and the
+    square-root measurement, optimal for symmetric pure states, succeeds
+    with (Tr sqrt(.))^2 / N^2 on either ensemble (Ban et al., Int. J. Theor.
+    Phys. 36, 1269 (1997)). It holds where eigvalsh resolves p_s and
+    1 - p_s, to an absolute error of order N times the machine epsilon.
+    """
+    n = spec.n_states
+    lam = np.clip(np.linalg.eigvalsh(gram(spec)), 0.0, None)
+    p_s = float(lam[0])
+    mu = (lam - p_s) / (1.0 - p_s)
+    p_c_med, p_c_med_beta, fidelity = (float(np.sqrt(x).sum() / n) ** 2
+                                       for x in (lam, mu, lam * mu))
+    return DiscriminationReport(
+        p_s=p_s, p_c_med=p_c_med, p_c_med_beta=p_c_med_beta,
+        p_c_ir=p_s + (1.0 - p_s) * p_c_med_beta,
+        fidelity=fidelity, infidelity=1.0 - fidelity,
+        error_bound=max(0.0, 1.0 - fidelity / p_c_med),
+        confidence_success=1.0, confidence_failure=p_c_med_beta,
     )
 
 

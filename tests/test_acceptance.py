@@ -4,12 +4,13 @@ Criterion 1 is split into its two clauses so the success-rate anchor's result
 stays visible independently of the error-ratio anchor.
 
 Clause 1b checks the error-probability ratio (1 - P_c^IR) / (1 - P_c^MED) at
-N = 3, alpha^2 = 0.8 against a frozen mpmath reference and against a
-recomputation from the Gram matrix alone, and reports the relative gap to the
-reference. The clause once asked for this ratio to lie in [1.12, 1.18]; no
-receiver built on the optimal separation can reach that window at this point
-(the README's Tests section gives the argument), and PAPER.md, which holds
-only the abstract, does not settle which quantity the window describes.
+N = 3, alpha^2 = 0.8 against a frozen mpmath reference and against the Gram
+route oracle.gram_probabilities, which reads nothing from the kernel, and
+reports the relative gap to the reference. The clause once asked for this
+ratio to lie in [1.12, 1.18]; no receiver built on the optimal separation can
+reach that window at this point (the README's Tests section gives the
+argument), and PAPER.md, which holds only the abstract, does not settle which
+quantity the window describes.
 """
 
 import math
@@ -26,6 +27,7 @@ from cvdisc import (
     build_workspace,
     certify_med_optimality,
     coefficients,
+    gram_probabilities,
     info_report,
     ir_report,
     joint_distribution,
@@ -63,30 +65,9 @@ def test_criterion_1a_success_rate_anchor():
 ERROR_RATIO_REFERENCE_3_08 = 3.609358254943435
 
 
-def _gram_error_ratio(n, alpha_sq):
-    """(1 - P_c^IR) / (1 - P_c^MED) from the Gram matrix alone.
-
-    The optimal unambiguous success probability of symmetric pure states is
-    the smallest Gram eigenvalue (Chefles and Barnett, Phys. Lett. A 250, 223
-    (1998)); the failure states then have Gram matrix (G - p_s 1) / (1 - p_s),
-    and the square-root measurement, optimal for symmetric pure states (Ban et
-    al., Int. J. Theor. Phys. 36, 1269 (1997)), succeeds with probability
-    (Tr sqrt(G))^2 / N^2 on either ensemble.
-    """
-    k = np.arange(n)
-    w = np.exp(2j * np.pi * (k - k[:, None]) / n)      # w^(k-j) at [j, k]
-    lam = np.linalg.eigvalsh(np.exp(alpha_sq * (w - 1.0)))
-    p_s = lam[0]
-
-    def p_c(eigs):
-        return np.sum(np.sqrt(eigs)) ** 2 / n ** 2
-
-    p_c_ir = p_s + (1.0 - p_s) * p_c((lam - p_s) / (1.0 - p_s))
-    return (1.0 - p_c_ir) / (1.0 - p_c(lam))
-
-
 def test_criterion_1b_error_ratio_anchor():
-    gram_ratio = _gram_error_ratio(3, 0.8)
+    gram_rep = gram_probabilities(EnsembleSpec(3, 0.8))
+    gram_ratio = (1.0 - gram_rep.p_c_ir) / (1.0 - gram_rep.p_c_med)
     start = time.perf_counter()
     rep = ir_report(EnsembleSpec(3, 0.8))
     ratio = (1.0 - rep.p_c_ir) / (1.0 - rep.p_c_med)

@@ -375,10 +375,11 @@ def test_mc_array_flag_rule_decides_each_cell_as_the_scalar_rule():
 
 def reference_mc_table(result):
     """The mc table as one Python step per cell from the dense joint blocks:
-    the lines, the largest |z| and the flag."""
+    the lines, the largest |z|, the flag and the counts CSV."""
     n, shots = result.joint.n_states, result.shots
     analytic = np.stack([result.joint.success.T, result.joint.failure.T], axis=-1) / n
     lines = ["prep outcome branch      count    empirical     analytic        z\n"]
+    rows = ["prep,outcome,branch,count\n"]
     worst_z, flagged = 0.0, False
     for (k, kp, br), count in np.ndenumerate(result.counts):
         count = int(count)
@@ -394,7 +395,8 @@ def reference_mc_table(result):
         worst_z = max(worst_z, abs(z))
         flagged = flagged or cli._beyond_6_sigma(count, prob * shots, z)
         lines.append(f"{k:4d} {kp:7d} {'sf'[br]:>6s} {count:10d} {emp:.6e} {prob:.6e} {z:8.3f}\n")
-    return "".join(lines), worst_z, flagged
+        rows.append(f"{k},{kp},{'sf'[br]},{count}\n")
+    return "".join(lines), worst_z, flagged, "".join(rows)
 
 
 @pytest.mark.parametrize("n,alpha_sq,shots,seed", [
@@ -404,13 +406,14 @@ def reference_mc_table(result):
     (5, 1e-3, 10 ** 9, 3), (64, 20.0, 10 ** 9, 1), (200, 50.0, 10 ** 9, 2),
 ])
 def test_mc_table_is_the_per_cell_table(capsys, n, alpha_sq, shots, seed):
-    # N = 200 spans two blocks of the table.
+    # N = 200 spans two blocks of the table and of the counts CSV.
     result = montecarlo.simulate(montecarlo.MCConfig(ensemble.EnsembleSpec(n, alpha_sq),
                                                      shots, seed))
     worst_z, flagged = cli._mc_table(result)
-    text, ref_worst, ref_flagged = reference_mc_table(result)
+    text, ref_worst, ref_flagged, counts_csv = reference_mc_table(result)
     assert capsys.readouterr().out == text
     assert (worst_z, flagged) == (ref_worst, ref_flagged)
+    assert "".join(cli._count_rows(result.counts)) == counts_csv
 
 
 def test_mc_reuses_the_sampled_joint(capsys, monkeypatch):

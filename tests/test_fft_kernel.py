@@ -4,9 +4,9 @@ The alphabet's Gram matrix is circulant, so the failure posterior and the
 failure block of the joint distribution are each one FFT of a length-N
 vector, and the coefficients c_j^2 are its eigenvalues over N. The O(N^3)
 double sums below are the definitions those FFTs replace, kept here as the
-reference; the coefficients are checked against lgamma block sums, and the
-large-N checks compare against the Gram matrix's eigenvalues, which share no
-code with the kernel.
+reference; the coefficients are checked against lgamma block sums, and every
+report field against oracle.gram_probabilities, the Gram matrix's eigenvalues,
+which share no code with the kernel.
 """
 
 import math
@@ -19,6 +19,7 @@ from cvdisc import (
     coefficients,
     failure_posterior,
     failure_profile,
+    gram_probabilities,
     info_report,
     ir_report,
     joint_distribution,
@@ -84,43 +85,14 @@ def test_coefficients_match_block_sums_at_large_n(n, alpha_sq):
     np.testing.assert_allclose(c_sq, expect, rtol=0, atol=1e-14)
 
 
-def _gram_report(n, alpha_sq):
-    """Every ir_report field from the eigenvalues of the Gram matrix alone.
-
-    p_s = lambda_min(G) (Chefles and Barnett, Phys. Lett. A 250, 223 (1998));
-    the failure states have Gram matrix (G - p_s 1)/(1 - p_s), and the
-    square-root measurement succeeds with (Tr sqrt(.))^2 / N^2 on either
-    ensemble (Ban et al., Int. J. Theor. Phys. 36, 1269 (1997)).
-    """
-    k = np.arange(n)
-    w = np.exp(2j * np.pi * (k - k[:, None]) / n)      # w^(k-j) at [j, k]
-    lam = np.clip(np.linalg.eigvalsh(np.exp(alpha_sq * (w - 1.0))), 0.0, None)
-    p_s = float(lam[0])
-    mu = (lam - p_s) / (1.0 - p_s)
-    p_c_med = float(np.sqrt(lam).sum() / n) ** 2
-    p_c_med_beta = float(np.sqrt(mu).sum() / n) ** 2
-    fidelity = float(np.sqrt(lam * mu).sum() / n) ** 2
-    return {
-        "p_s": p_s,
-        "p_c_med": p_c_med,
-        "p_c_med_beta": p_c_med_beta,
-        "p_c_ir": p_s + (1.0 - p_s) * p_c_med_beta,
-        "fidelity": fidelity,
-        "infidelity": 1.0 - fidelity,
-        "error_bound": max(0.0, 1.0 - fidelity / p_c_med),
-        "confidence_success": 1.0,
-        "confidence_failure": p_c_med_beta,
-    }
-
-
-def test_large_alphabet_matches_gram_eigenvalues():
-    # Here p_s ~ 6e-5; eigvalsh resolves p_s only to ~1e-16 absolute, which
-    # rules out much smaller alpha^2 at this N.
-    rep = ir_report(EnsembleSpec(256, 700.0))
-    assert not rep.full_separation
-    for name, expect in _gram_report(256, 700.0).items():
-        got = getattr(rep, name)
-        assert got == pytest.approx(expect, rel=1e-9, abs=0.0), name
+# p_s runs from 0.44 down to ~6e-5 at (256, 700); eigvalsh resolves p_s only
+# to an absolute ~1e-16 * N, which rules out much smaller alpha^2 at N = 256.
+@pytest.mark.parametrize("n,alpha_sq", [(3, 0.8), (8, 6.0), (64, 50.0), (256, 700.0)])
+def test_large_alphabet_matches_gram_eigenvalues(n, alpha_sq):
+    # Every field to rel 1e-9, and full_separation (False on both) exactly.
+    rep = ir_report(EnsembleSpec(n, alpha_sq))
+    expect = gram_probabilities(EnsembleSpec(n, alpha_sq))
+    assert vars(rep) == pytest.approx(vars(expect), rel=1e-9, abs=0.0)
 
 
 def test_n1024_runs_and_stays_consistent():

@@ -1,6 +1,6 @@
 """Source hygiene: every imported name in src/ and tests/ is referenced, no
-cvdisc module imports a sibling's private name but _frozen, and no command
-loads scipy."""
+cvdisc module imports a sibling's private name but _frozen, the oracle's Gram
+route reads nothing from the kernel, and no command loads scipy."""
 
 import ast
 import json
@@ -135,3 +135,36 @@ def test_verify_runs_with_scipy_unimportable(capsys):
     labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
     assert len(labels) == 8 and all(label.startswith("PASS ") for label in labels)
     assert [line.split(":")[0] for line in proc.stdout.splitlines()] == labels
+
+
+# The Gram route checks the kernel, so it may read only these of cvdisc's
+# names: the input record, the output record and the read-only marker.
+GRAM_ROUTE_ALLOWED = {"EnsembleSpec", "DiscriminationReport", "_frozen"}
+
+
+def kernel_names(path, functions=("gram", "gram_probabilities")):
+    """(line, name) of every name imported from a cvdisc module, other than
+    GRAM_ROUTE_ALLOWED, that the bodies of functions reference."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                and (node.level > 0 or (node.module or "").split(".")[0] == "cvdisc")
+                for alias in node.names} - GRAM_ROUTE_ALLOWED
+    return sorted((node.lineno, node.id) for function in tree.body
+                  if isinstance(function, ast.FunctionDef) and function.name in functions
+                  for node in ast.walk(function)
+                  if isinstance(node, ast.Name) and node.id in imported)
+
+
+def test_gram_route_reads_nothing_from_the_kernel():
+    assert kernel_names(ROOT / "src" / "cvdisc" / "oracle.py") == []
+
+
+def test_detects_a_kernel_name_in_the_gram_route(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("from .ensemble import EnsembleSpec, _frozen, coefficients\n"
+                      "from . import discrim\n"
+                      "def gram(spec):\n    return _frozen(coefficients(spec).c)\n"
+                      "def gram_probabilities(spec: EnsembleSpec):\n"
+                      "    return discrim.ir_report(spec)\n")
+    assert kernel_names(module) == [(4, "coefficients"), (6, "discrim")]

@@ -205,6 +205,20 @@ def test_certificate_memory_is_bounded():
     assert peak < 16 * 2 ** 20
 
 
+def test_fock_workspace_memory_is_bounded():
+    # The Fock build holds one d x d Kraus operator, the span projector and
+    # one completeness residual at a time, not a stack of them: below six
+    # d x d complex arrays at its peak (d = 431 here).
+    spec = EnsembleSpec(32, 300.0)
+    tracemalloc.start()
+    try:
+        ws = build_workspace(spec, "fock")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 16 * ws.dimension ** 2
+
+
 # --- operator structure ---------------------------------------------------------
 
 
