@@ -9,12 +9,10 @@ from .analytic3 import KINK_PERIOD, CubicSolution, kinks_n3, solve_n3
 from .discrim import (
     DiscriminationReport,
     JointDistribution,
-    SeparationOperators,
     failure_profile,
     ir_columns,
     ir_report,
     joint_distribution,
-    separation_operators,
 )
 from .ensemble import (
     BasisAmplitudes,
@@ -73,7 +71,6 @@ __all__ = [
     "MCResult",
     "MatrixWorkspace",
     "MedCertificate",
-    "SeparationOperators",
     "basis_amplitudes",
     "brute_force_joint",
     "brute_force_probabilities",
@@ -92,7 +89,6 @@ __all__ = [
     "ir_report",
     "joint_distribution",
     "kinks_n3",
-    "separation_operators",
     "shannon_entropy",
     "simulate",
     "solve_n3",

@@ -4,13 +4,13 @@ closed-form solver, and oracle verification.
 Exit codes: 0 success, 2 argument/domain error, 3 I/O failure, 4 statistical
 flag (a Monte Carlo cell beyond 6 sigma), 5 certification failure.
 
-report prints a view of one record per point: _point_values collects both
-reports from one spec, whose coefficient profile is evaluated once. sweep
-makes one coefficient_grid call over its whole alpha^2 grid and writes each
-block of rows from the column views ir_columns and info_columns, one format
-string per CSV row. mc takes its table's columns and its 6 sigma flag as
-arrays from the sampled joint record, GRID_BLOCK cells at a time, and formats
-each row with one format string too; its counts CSV walks the same blocks.
+report and sweep print the same views of a coefficient record, collected by
+_values from ir_columns and info_columns: report of the one-point profile of
+its spec, sweep of each block of one coefficient_grid call over its whole
+alpha^2 grid, one format string per CSV row. mc takes its table's columns and
+its 6 sigma flag as arrays from the sampled joint record, GRID_BLOCK cells at
+a time, and formats each row with one format string too; its counts CSV walks
+the same blocks.
 
 The argparse parser is built once per process, on the first main call, and
 reused: parsing does not change it.
@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic3, discrim, infotheory, montecarlo, oracle
-from .ensemble import GRID_BLOCK, TAIL_EPS, EnsembleSpec, coefficient_grid, coefficients
+from .ensemble import (GRID_BLOCK, TAIL_EPS, CoefficientProfile, EnsembleSpec, coefficient_grid,
+                       coefficients)
 from .errors import (
     CertificationFailure,
     CutoffOverflow,
@@ -109,19 +110,16 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _point_values(n: int, alpha_sq: float) -> dict[str, float | int]:
-    """Every figure of one point, from one spec and so one coefficient
-    evaluation: the fields of ir_report and info_report plus n_states,
-    alpha_sq and failure_dim. alpha_sq is the spec's, so -0 prints as 0."""
-    spec = EnsembleSpec(n, alpha_sq)
-    return {"n_states": n, "alpha_sq": spec.alpha_sq,
-            **vars(discrim.ir_report(spec)),
-            **vars(infotheory.info_report(spec)),
-            "failure_dim": coefficients(spec).failure_dim}
+def _values(profile: CoefficientProfile) -> dict:
+    """Every figure of a profile by name: the fields of ir_columns and
+    info_columns plus alpha_sq and failure_dim, scalars for one point and
+    columns for a grid block. alpha_sq is the spec's, so -0 prints as 0."""
+    return {**vars(discrim.ir_columns(profile)), **vars(infotheory.info_columns(profile)),
+            "alpha_sq": profile.alpha_sq, "failure_dim": profile.failure_dim}
 
 
 def cmd_report(n: int, alpha_sq: float) -> int:
-    values = _point_values(n, alpha_sq)
+    values = {"n_states": n, **_values(coefficients(EnsembleSpec(n, alpha_sq)))}
     print("\n".join(f"{name:<20}= {_g(values[name])}" for name in _REPORT_LINES))
     return EXIT_OK
 
@@ -131,8 +129,7 @@ def _sweep_chunks(request: SweepRequest) -> Iterator[str]:
     yield CSV_HEADER + "\n"
     grid = np.linspace(request.alpha_sq_min, request.alpha_sq_max, request.steps)
     for block in coefficient_grid(request.n_states, grid):
-        values = {**vars(discrim.ir_columns(block)), **vars(infotheory.info_columns(block)),
-                  "alpha_sq": block.alpha_sq, "failure_dim": block.failure_dim}
+        values = _values(block)
         columns = [values[name].tolist() for name in _CSV_COLUMNS]
         yield "".join(_CSV_ROW % row for row in zip(*columns))
 

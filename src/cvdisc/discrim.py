@@ -6,8 +6,9 @@ the structure of the normalized failure states, and the recycled strategy
 that follows a failed separation with a minimum-error measurement on the
 failure set. All quantities are closed-form views of the coefficient profile,
 which carries p_s and the failure profile b and decides once whether the
-failure branch is empty; the oracle module re-derives them from explicit
-states and measurement vectors.
+failure branch is empty; the oracle module forms the separation's Kraus
+diagonals and re-derives these figures from explicit states and measurement
+vectors.
 """
 
 from __future__ import annotations
@@ -25,20 +26,6 @@ from .ensemble import (
     coefficients,
 )
 from .errors import DegenerateEnsemble, FullSeparation
-
-
-@dataclass(frozen=True)
-class SeparationOperators:
-    """Diagonals of the separation Kraus pair in the symmetric basis.
-
-    Success action scales basis vector j by c_min/c_j, failure by
-    sqrt(1 - (c_min/c_j)^2); the failure unitary is fixed to the identity.
-    Entries degenerate with c_min, including any c_j that underflows to 0
-    (then c_min = 0), keep the exact fixed point success = 1, failure = 0.
-    """
-
-    a_success_diag: np.ndarray
-    a_failure_diag: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,21 +112,6 @@ def _med(x: np.ndarray) -> np.ndarray:
     float_power is libm pow, as Python's float ** 2; numpy's x**2 is x*x.
     """
     return np.float_power(x.sum(axis=-1), 2.0) / x.shape[-1]
-
-
-def separation_operators(profile: CoefficientProfile) -> SeparationOperators:
-    """Kraus diagonals of the optimal separation map."""
-    if profile.degenerate:
-        raise DegenerateEnsemble("separation map undefined for a single-state alphabet")
-    n = profile.n_states
-    a_s = np.ones(n)
-    a_f = np.zeros(n)
-    # Entries degenerate with c_min keep the exact fixed point (1, 0).
-    scaled = ~profile.degenerate_mask
-    ratios = profile.c_min / profile.c[scaled]
-    a_s[scaled] = ratios
-    a_f[scaled] = np.sqrt(np.clip(1.0 - ratios ** 2, 0.0, None))
-    return SeparationOperators(a_success_diag=_frozen(a_s), a_failure_diag=_frozen(a_f))
 
 
 def failure_profile(profile: CoefficientProfile) -> CoefficientProfile:

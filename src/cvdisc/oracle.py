@@ -10,13 +10,14 @@ element as its vector, re-derives all probabilities as tr(Pi rho) =
 Helstrom conditions (Gamma = (1/N) * sum_k Pi_k rho_k Hermitian and
 Gamma - rho_k/N positive semidefinite). The separation model itself is not
 rebuilt: build_workspace takes the coefficients and the failure profile b
-from one ensemble.coefficients record, and the separation Kraus diagonals
-from discrim. Agreement between the two paths therefore checks the assembly,
-the trace-derived probabilities and the Helstrom certificates against the
-closed forms in discrim, not the choice of separation. The Gram route checks
-that: gram_probabilities derives every report field from the eigenvalues of
-the overlap matrix gram alone, reading nothing from the kernel. The
-Fock-basis checks allow for the measured truncation of each basis row.
+from one ensemble.coefficients record, and forms the separation Kraus
+diagonals from its c and c_min. Agreement between the two paths therefore
+checks the assembly, the trace-derived probabilities and the Helstrom
+certificates against the closed forms in discrim, not the choice of
+separation. The Gram route checks that: gram_probabilities derives every
+report field from the eigenvalues of the overlap matrix gram alone, reading
+nothing from the kernel. The Fock-basis checks allow for the measured
+truncation of each basis row.
 """
 
 from __future__ import annotations
@@ -25,16 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrim import DiscriminationReport, failure_profile, separation_operators
-from .ensemble import (GRID_BLOCK, TAIL_EPS, EnsembleSpec, _frozen, basis_amplitudes,
-                       coefficients)
-from .errors import CertificationFailure, DomainError
+from .discrim import DiscriminationReport, failure_profile
+from .ensemble import (GRID_BLOCK, TAIL_EPS, CoefficientProfile, EnsembleSpec, _frozen,
+                       basis_amplitudes, coefficients)
+from .errors import CertificationFailure, DegenerateEnsemble, DomainError
 
 HERMITICITY_TOL = 1e-10
 # Smallest acceptable eigenvalue in PSD checks; above dense-eigensolver noise
 # for the dimensions used here.
 EIGENVALUE_TOL = 1e-9
 _COMPLETENESS_TOL = 1e-10
+# Largest N accepted by build_workspace: verify runs within 1 GiB of address
+# space up to it, in about a minute at the cap, where its 2N eigvalsh calls
+# on d x d matrices (d >= N) dominate.
+VERIFY_N_CAP = 2 ** 9
 
 
 @dataclass(frozen=True)
@@ -92,14 +97,17 @@ def build_workspace(spec: EnsembleSpec,
     plus, for the two-stage chain, 2 * max_j(1 - |phi_j|^2): truncation
     shortens each Fock row, and the chain sees that once per Kraus factor.
     Every element is |v><v| for a stored vector v, so it is positive
-    semidefinite by construction.
+    semidefinite by construction. N above VERIFY_N_CAP raises DomainError
+    before anything is built.
     """
     if basis not in ("phi", "fock"):
         raise DomainError(f"basis must be 'phi' or 'fock', got {basis!r}")
-    profile = coefficients(spec)
-    sep = separation_operators(profile)       # raises DegenerateEnsemble on vacuum
-    failure_profile(profile)                  # raises FullSeparation when empty
     n = spec.n_states
+    if n > VERIFY_N_CAP:
+        raise DomainError(f"n_states {n} exceeds cap {VERIFY_N_CAP}")
+    profile = coefficients(spec)
+    kraus = _kraus_diagonals(profile)         # raises DegenerateEnsemble on vacuum
+    failure_profile(profile)                  # raises FullSeparation when empty
 
     if basis == "phi":
         phi_rows = np.eye(n, dtype=complex)
@@ -123,7 +131,7 @@ def build_workspace(spec: EnsembleSpec,
     # operator is held at a time.
     success_vectors, failure_vectors = (
         _frozen(u_states @ ((phi_rows.T * diag) @ phi_rows.conj()).conj())
-        for diag in (sep.a_success_diag, sep.a_failure_diag))
+        for diag in kraus)
     span = phi_rows.T @ phi_rows.conj()
 
     ws = MatrixWorkspace(
@@ -134,6 +142,24 @@ def build_workspace(spec: EnsembleSpec,
     )
     _check_construction(ws, norm_defect)
     return ws
+
+
+def _kraus_diagonals(profile: CoefficientProfile) -> np.ndarray:
+    """Diagonals of the optimal separation Kraus pair in the symmetric
+    basis, as the (2, N) stack [success; failure].
+
+    The success action scales basis vector j by c_min/c_j, the failure
+    action by sqrt(1 - (c_min/c_j)^2); the failure unitary is fixed to the
+    identity. Entries degenerate with c_min, including any c_j that
+    underflows to 0 (then c_min = 0), keep the exact fixed point (1, 0).
+    """
+    if profile.degenerate:
+        raise DegenerateEnsemble("separation map undefined for a single-state alphabet")
+    mask = profile.degenerate_mask
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_s = np.where(mask, 1.0, profile.c_min / profile.c)
+    a_f = np.where(mask, 0.0, np.sqrt(np.clip(1.0 - a_s ** 2, 0.0, None)))
+    return np.array((a_s, a_f))
 
 
 def _check_construction(ws: MatrixWorkspace, norm_defect: float) -> None:

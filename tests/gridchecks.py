@@ -16,7 +16,7 @@ from cvdisc import (
     info_report,
     ir_report,
     joint_distribution,
-    separation_operators,
+    oracle,
 )
 
 GRID_N = (3, 4, 5, 6)
@@ -81,8 +81,8 @@ def check_information_ordering(n, a2):
 
 
 def check_kraus_completeness(n, a2):
-    sep = separation_operators(coefficients(EnsembleSpec(n, a2)))
-    worst = np.max(np.abs(sep.a_success_diag ** 2 + sep.a_failure_diag ** 2 - 1.0))
+    a_s, a_f = oracle._kraus_diagonals(coefficients(EnsembleSpec(n, a2)))
+    worst = np.max(np.abs(a_s ** 2 + a_f ** 2 - 1.0))
     if worst > 1e-12:
         return [f"completeness n={n} a2={a2:.4f}: defect={worst:.3e}"]
     return []

@@ -534,6 +534,7 @@ def test_verify_vacuum_exit_2(capsys):
     ("--n", "3", "--alpha2", "1,0"),      # the vacuum alphabet
     ("--n", "3", "--alpha2", "1,16"),     # an empty failure branch
     ("--n", "64", "--alpha2", "3000", "--tail-eps", "1e-300"),    # CutoffOverflow
+    ("--n", "513", "--alpha2", "1"),      # one past oracle.VERIFY_N_CAP
 ])
 def test_verify_usage_errors_precede_results(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)

@@ -18,7 +18,6 @@ from cvdisc import (
     info_report,
     ir_report,
     joint_distribution,
-    separation_operators,
 )
 from cvdisc.analytic3 import KINK_PERIOD, solve_n3
 
@@ -84,49 +83,6 @@ def test_ud_success_vacuum_is_zero():
 def test_ud_success_matches_cubic_at_kink():
     profile = coefficients(EnsembleSpec(3, KINK_PERIOD))
     assert abs(profile.p_s - solve_n3(KINK_PERIOD).p_s) < 1e-9
-
-
-# --- separation_operators ---------------------------------------------------
-
-
-def test_separation_diagonals_3_1():
-    profile = coefficients(EnsembleSpec(3, 1.0))
-    sep = separation_operators(profile)
-    np.testing.assert_allclose(sep.a_success_diag * profile.c,
-                               profile.c_min, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(sep.a_success_diag ** 2 + sep.a_failure_diag ** 2,
-                               1.0, rtol=0, atol=1e-15)
-    # The minimum entry is the fixed point of the success action.
-    j_min = int(np.argmin(profile.c_sq))
-    assert sep.a_success_diag[j_min] == 1.0
-    assert sep.a_failure_diag[j_min] == 0.0
-
-
-def test_separation_small_amplitude_scales_every_entry():
-    # At alpha^2 = 1e-8 the minimum c_2^2 ~ 5e-17 is resolved, so the
-    # success action scales every entry by c_min/c_j, as at any amplitude.
-    profile = coefficients(EnsembleSpec(3, 1e-8))
-    sep = separation_operators(profile)
-    assert int(np.argmin(profile.c_sq)) == 2
-    np.testing.assert_allclose(sep.a_success_diag, profile.c_min / profile.c,
-                               rtol=1e-15, atol=0)
-    assert sep.a_success_diag[2] == 1.0
-    assert sep.a_failure_diag[2] == 0.0
-
-
-def test_separation_uniform_profile_fully_separates():
-    profile = synthetic_profile([0.25] * 4, degenerate_with_min=range(4))
-    sep = separation_operators(profile)
-    np.testing.assert_array_equal(sep.a_success_diag, np.ones(4))
-    np.testing.assert_array_equal(sep.a_failure_diag, np.zeros(4))
-    assert profile.p_s == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(FullSeparation, match="^separation succeeds with probability 1.0; "):
-        failure_profile(profile)
-
-
-def test_separation_vacuum_raises():
-    with pytest.raises(DegenerateEnsemble):
-        separation_operators(coefficients(EnsembleSpec(3, 0.0)))
 
 
 # --- failure_profile / p_c_med_beta (failure-set Helstrom) -------------------

@@ -1,7 +1,7 @@
 """Brute-force matrix oracle and Helstrom optimality certificates."""
 
-import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,16 +12,20 @@ from cvdisc import (
     DegenerateEnsemble,
     DomainError,
     EnsembleSpec,
+    FullSeparation,
     brute_force_joint,
     brute_force_probabilities,
     build_workspace,
     certify_helstrom,
     certify_med_optimality,
+    coefficients,
+    failure_profile,
     gram,
     ir_report,
     joint_distribution,
 )
 from cvdisc import oracle
+from test_discrim import synthetic_profile
 
 REPORT_FIELDS = ("p_s", "p_c_med", "p_c_med_beta", "p_c_ir", "fidelity",
                  "infidelity", "error_bound", "confidence_success",
@@ -72,6 +76,11 @@ def test_workspace_vacuum_raises():
 def test_workspace_fock_cap_overflow():
     with pytest.raises(CutoffOverflow):
         build_workspace(EnsembleSpec(128, 4000.0), basis="fock")
+
+
+def test_workspace_rejects_n_above_cap():
+    with pytest.raises(DomainError, match=f"exceeds cap {oracle.VERIFY_N_CAP}$"):
+        build_workspace(EnsembleSpec(oracle.VERIFY_N_CAP + 1, 1.0))
 
 
 # --- brute force vs closed form ------------------------------------------------
@@ -219,18 +228,75 @@ def test_fock_workspace_memory_is_bounded():
     assert peak < 6 * 16 * ws.dimension ** 2
 
 
+# --- separation Kraus diagonals ------------------------------------------------
+
+
+def test_separation_diagonals_3_1():
+    profile = coefficients(EnsembleSpec(3, 1.0))
+    a_s, a_f = oracle._kraus_diagonals(profile)
+    np.testing.assert_allclose(a_s * profile.c, profile.c_min, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(a_s ** 2 + a_f ** 2, 1.0, rtol=0, atol=1e-15)
+    # The minimum entry is the fixed point of the success action.
+    j_min = int(np.argmin(profile.c_sq))
+    assert a_s[j_min] == 1.0
+    assert a_f[j_min] == 0.0
+
+
+def test_separation_small_amplitude_scales_every_entry():
+    # At alpha^2 = 1e-8 the minimum c_2^2 ~ 5e-17 is resolved, so the
+    # success action scales every entry by c_min/c_j, as at any amplitude.
+    profile = coefficients(EnsembleSpec(3, 1e-8))
+    a_s, a_f = oracle._kraus_diagonals(profile)
+    assert int(np.argmin(profile.c_sq)) == 2
+    np.testing.assert_allclose(a_s, profile.c_min / profile.c, rtol=1e-15, atol=0)
+    assert a_s[2] == 1.0
+    assert a_f[2] == 0.0
+
+
+@pytest.mark.parametrize("n, alpha_sq, zeros, masked", [(128, 0.01, 36, 40),
+                                                        (1024, 1.0, 846, 853)])
+def test_separation_underflowed_entries_keep_fixed_point(n, alpha_sq, zeros, masked):
+    # Some c_j underflow to 0, so c_min = 0 and c_min/c_j is 0/0 there; every
+    # entry degenerate with c_min is (1, 0) exactly, with no warning.
+    profile = coefficients(EnsembleSpec(n, alpha_sq))
+    assert (int(np.sum(profile.c == 0.0)), profile.c_min) == (zeros, 0.0)
+    assert int(profile.degenerate_mask.sum()) == masked
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a_s, a_f = oracle._kraus_diagonals(profile)
+    mask = profile.degenerate_mask
+    assert np.all(a_s[mask] == 1.0) and np.all(a_f[mask] == 0.0)
+    np.testing.assert_array_equal(a_s[~mask], 0.0)
+    np.testing.assert_array_equal(a_f[~mask], 1.0)
+
+
+def test_separation_uniform_profile_fully_separates():
+    profile = synthetic_profile([0.25] * 4, degenerate_with_min=range(4))
+    a_s, a_f = oracle._kraus_diagonals(profile)
+    np.testing.assert_array_equal(a_s, np.ones(4))
+    np.testing.assert_array_equal(a_f, np.zeros(4))
+    assert profile.p_s == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(FullSeparation, match="^separation succeeds with probability 1.0; "):
+        failure_profile(profile)
+
+
+def test_separation_vacuum_raises():
+    with pytest.raises(DegenerateEnsemble,
+                       match="^separation map undefined for a single-state alphabet$"):
+        oracle._kraus_diagonals(coefficients(EnsembleSpec(3, 0.0)))
+
+
 # --- operator structure ---------------------------------------------------------
 
 
 def test_failure_povm_eigenvalues():
     spec = EnsembleSpec(4, 1.5)
     ws = build_workspace(spec)
-    from cvdisc import coefficients, separation_operators
-    sep = separation_operators(coefficients(spec))
+    _, a_f = oracle._kraus_diagonals(coefficients(spec))
     f = ws.failure_vectors
     total_failure = f.T @ f.conj()
     eigs = np.sort(np.linalg.eigvalsh(total_failure))
-    np.testing.assert_allclose(eigs, np.sort(sep.a_failure_diag ** 2),
+    np.testing.assert_allclose(eigs, np.sort(a_f ** 2),
                                rtol=0, atol=1e-12)
 
 
@@ -252,12 +318,11 @@ def test_workspace_arrays_immutable():
 @pytest.mark.parametrize("basis", ["phi", "fock"])
 def test_broken_separation_fails_chain_completeness(monkeypatch, basis):
     # A failure Kraus diagonal 1e-8 too long breaks A_s'A_s + A_f'A_f = 1.
-    exact = oracle.separation_operators
+    exact = oracle._kraus_diagonals
 
     def stretched(profile):
-        sep = exact(profile)
-        return dataclasses.replace(sep, a_failure_diag=sep.a_failure_diag * (1 + 1e-8))
+        return exact(profile) * [[1.0], [1 + 1e-8]]
 
-    monkeypatch.setattr(oracle, "separation_operators", stretched)
+    monkeypatch.setattr(oracle, "_kraus_diagonals", stretched)
     with pytest.raises(CertificationFailure, match="two-stage POVM"):
         build_workspace(EnsembleSpec(4, 2.0), basis=basis)
