@@ -35,7 +35,6 @@ from .infotheory import (
     failure_posterior,
     info_columns,
     info_report,
-    shannon_entropy,
 )
 from .montecarlo import MCConfig, MCResult, simulate
 from .oracle import (
@@ -44,7 +43,6 @@ from .oracle import (
     brute_force_joint,
     brute_force_probabilities,
     build_workspace,
-    certify_helstrom,
     certify_med_optimality,
     gram,
     gram_probabilities,
@@ -75,7 +73,6 @@ __all__ = [
     "brute_force_joint",
     "brute_force_probabilities",
     "build_workspace",
-    "certify_helstrom",
     "certify_med_optimality",
     "coefficient_grid",
     "coefficients",
@@ -89,7 +86,6 @@ __all__ = [
     "ir_report",
     "joint_distribution",
     "kinks_n3",
-    "shannon_entropy",
     "simulate",
     "solve_n3",
 ]

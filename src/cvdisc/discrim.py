@@ -134,7 +134,7 @@ def failure_profile(profile: CoefficientProfile) -> CoefficientProfile:
 
 def ir_report(spec: EnsembleSpec) -> DiscriminationReport:
     """Every scalar figure of merit for one alphabet: ir_columns of its
-    profile, as floats.
+    profile.
 
     The recycled strategy succeeds with p_s and otherwise falls back on
     minimum error over the failure set, so
@@ -143,14 +143,12 @@ def ir_report(spec: EnsembleSpec) -> DiscriminationReport:
     and its failure state, and 1 - F/p_c_med lower-bounds the failure-set
     error probability.
     """
-    columns = vars(ir_columns(coefficients(spec)))
-    return DiscriminationReport(**{k: v if isinstance(v, bool) else float(v)
-                                   for k, v in columns.items()})
+    return ir_columns(coefficients(spec))
 
 
 def ir_columns(profile: CoefficientProfile) -> DiscriminationReport:
     """The figures of ir_report over the rows of a profile: columns for a
-    grid record, numpy scalars for one point. b is NaN where full_separation
+    grid record, Python scalars for one point. b is NaN where full_separation
     is set, which makes the failure-branch fields NaN there; p_c_ir takes
     its limit 1. The batched matmul is the same dot product as c @ b on one
     row.
@@ -159,7 +157,8 @@ def ir_columns(profile: CoefficientProfile) -> DiscriminationReport:
     p_c_med = _med(c)
     p_c_med_beta = _med(b)
     fidelity = np.float_power(np.matmul(c[..., None, :], b[..., :, None])[..., 0, 0], 2.0)
-    return DiscriminationReport(
+    return profile.view(
+        DiscriminationReport,
         p_s=p_s,
         p_c_med=p_c_med,
         p_c_med_beta=p_c_med_beta,

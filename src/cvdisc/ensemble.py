@@ -73,6 +73,8 @@ class EnsembleSpec:
             raise DomainError(f"n_states must be >= 2, got {self.n_states}")
         if self.n_states > MAX_N_STATES:
             raise DomainError(f"n_states must be <= {MAX_N_STATES}, got {self.n_states}")
+        if isinstance(self.alpha_sq, (bool, np.bool_)):
+            raise DomainError(f"alpha_sq must be a real number, got {self.alpha_sq!r}")
         try:
             a2 = float(self.alpha_sq)
         except (TypeError, ValueError) as exc:
@@ -187,6 +189,14 @@ class CoefficientProfile:
     def degenerate(self):
         # np.count_nonzero along an axis takes numpy's slow path.
         return (self.c_sq != 0.0).sum(axis=-1) == 1
+
+    def view(self, record: type, **fields):
+        """record(**fields), fields being figures of this profile: Python
+        scalars for one point, a float for every field but a bool, and the
+        columns as given for a grid block."""
+        if self.c_sq.ndim == 1:
+            fields = {k: v if type(v) is bool else float(v) for k, v in fields.items()}
+        return record(**fields)
 
     @property
     def near_band_edge(self):

@@ -15,7 +15,6 @@ import numpy as np
 
 from .discrim import failure_profile
 from .ensemble import CoefficientProfile, EnsembleSpec, _frozen, coefficients
-from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -27,21 +26,6 @@ class InfoReport:
     i_ir: float
     gain: float
     h_fail: float
-
-
-def shannon_entropy(probs) -> float:
-    """Shannon entropy in bits with the 0 * log2(0) = 0 convention."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise DomainError("probs must be a nonempty 1-D vector")
-    if not np.isfinite(p).all():
-        raise DomainError(f"probabilities must be finite, got {p[~np.isfinite(p)][0]}")
-    if np.any(p < -1e-12):
-        raise DomainError(f"negative probability {p.min():.3e}")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-8:
-        raise DomainError(f"probabilities sum to {total}, expected 1")
-    return float(_entropy_bits(np.clip(p, 0.0, None)))
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
@@ -72,7 +56,7 @@ def _posterior(spectrum: np.ndarray) -> np.ndarray:
 
 def info_report(spec: EnsembleSpec) -> InfoReport:
     """Mutual informations of the unambiguous-only and recycled strategies:
-    info_columns of the alphabet's profile, as floats.
+    info_columns of the alphabet's profile.
 
     i_ud = p_s * log2(N); i_ir = log2(N) - (1 - p_s) * H(failure posterior),
     using the symmetry reduction that makes every failure outcome's posterior
@@ -80,16 +64,16 @@ def info_report(spec: EnsembleSpec) -> InfoReport:
     and i_ir = log2(N) by the empty-failure-branch limit. The vacuum alphabet
     passes through with i_ud = i_ir = 0.
     """
-    return InfoReport(**{k: float(v) for k, v in vars(info_columns(coefficients(spec))).items()})
+    return info_columns(coefficients(spec))
 
 
 def info_columns(profile: CoefficientProfile) -> InfoReport:
     """The figures of info_report over the rows of a profile: columns for a
-    grid record, numpy scalars for one point. The spectrum is NaN where
+    grid record, Python scalars for one point. The spectrum is NaN where
     full_separation is set, and h_fail and i_ir take their limits 0 and
     log2 N there."""
     log2n = math.log2(profile.n_states)
     i_ud = profile.p_s * log2n
     h_fail = np.where(profile.full_separation, 0.0, _entropy_bits(_posterior(profile.spectrum)))
     i_ir = log2n - (1.0 - profile.p_s) * h_fail
-    return InfoReport(i_ud=i_ud, i_ir=i_ir, gain=i_ir - i_ud, h_fail=h_fail)
+    return profile.view(InfoReport, i_ud=i_ud, i_ir=i_ir, gain=i_ir - i_ud, h_fail=h_fail)

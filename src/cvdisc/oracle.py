@@ -91,11 +91,12 @@ def build_workspace(spec: EnsembleSpec,
 
     basis 'phi' works in the N-dimensional symmetric basis (exact, fast);
     basis 'fock' reconstructs everything in a truncated Fock space whose
-    cutoff is controlled by tail_eps, and applies Kraus operators built in
-    that space. Construction raises CertificationFailure if either
-    completeness relation misses the span projector by more than 1e-10,
-    plus, for the two-stage chain, 2 * max_j(1 - |phi_j|^2): truncation
-    shortens each Fock row, and the chain sees that once per Kraus factor.
+    cutoff is controlled by tail_eps, and applies the Kraus operators
+    through the N coordinates of each vector on the basis rows.
+    Construction raises CertificationFailure if either completeness
+    relation misses the span projector by more than 1e-10, plus, for the
+    two-stage chain, 2 * max_j(1 - |phi_j|^2): truncation shortens each
+    Fock row, and the chain sees that once per Kraus factor.
     Every element is |v><v| for a stored vector v, so it is positive
     semidefinite by construction. N above VERIFY_N_CAP raises DomainError
     before anything is built.
@@ -126,12 +127,11 @@ def build_workspace(spec: EnsembleSpec,
     weights = np.array((profile.c, np.full(n, n ** -0.5), profile.b))
     alpha_states, u_states, beta_states = _frozen((phases * weights[:, None, :]) @ phi_rows)
 
-    # Row k of u_states @ A.conj() is (A^dagger u_k)^T. Each Kraus operator
-    # A lives only inside its own expression, so at most one d x d
-    # operator is held at a time.
+    # A = sum_j diag_j |phi_j><phi_j| is diagonal in the N coordinates
+    # <phi_j|u_k>, so row k of the product is (A^dagger u_k)^T and no d x d
+    # Kraus operator is formed.
     success_vectors, failure_vectors = (
-        _frozen(u_states @ ((phi_rows.T * diag) @ phi_rows.conj()).conj())
-        for diag in kraus)
+        _frozen(((u_states @ phi_rows.T.conj()) * diag) @ phi_rows) for diag in kraus)
     span = phi_rows.T @ phi_rows.conj()
 
     ws = MatrixWorkspace(
@@ -301,27 +301,13 @@ def _certificate(which: str, defect: float, lows: np.ndarray) -> MedCertificate:
                           worst_eigenvalue=worst, worst_index=worst_k)
 
 
-def certify_helstrom(vectors: np.ndarray, states: np.ndarray,
-                     which: str = "custom") -> MedCertificate:
-    """Helstrom optimality conditions for equiprobable pure states.
-
-    The measurement is given by one vector per outcome, Pi_k = |v_k><v_k|.
-    Builds Gamma = (1/N) * sum_k Pi_k |psi_k><psi_k| and checks that Gamma
-    is Hermitian within 1e-10 and that Gamma - |psi_k><psi_k|/N has no
-    eigenvalue below -1e-9 for any k. Vector and state counts must match.
-    """
-    n = len(states)
-    if len(vectors) != n:
-        raise DomainError(f"{len(vectors)} measurement vectors for {n} states")
-    (defect,), (lows,) = _certify(vectors, states[None])
-    return _certificate(which, defect, lows)
-
-
 def certify_med_optimality(ws: MatrixWorkspace) -> tuple[MedCertificate, MedCertificate]:
     """Certify the minimum-error projectors |u_k><u_k| on both state
     families in one pass: the pair (inputs, failure_states), 'inputs' on the
     alphabet states and 'failure_states' on the normalized failure set,
-    whose minimum-error measurement uses the same projectors.
+    whose minimum-error measurement uses the same projectors. Each passes
+    when Gamma is Hermitian within HERMITICITY_TOL and no Gamma -
+    |psi_k><psi_k|/N has an eigenvalue below -EIGENVALUE_TOL.
     """
     defects, lows = _certify(ws.u_states, np.array((ws.alpha_states, ws.beta_states)))
     return (_certificate("inputs", defects[0], lows[0]),

@@ -80,6 +80,20 @@ def test_grid_rows_equal_the_one_point_path(n):
             assert same_bits(info_col[name][r], value), (where, name)
 
 
+@pytest.mark.parametrize("alpha_sq", [0.0, 1.0, 16.0, 45.0])
+def test_views_are_python_scalars_for_a_point_and_columns_for_a_block(alpha_sq):
+    # The vacuum, a non-empty failure branch and both empty-branch causes.
+    spec = EnsembleSpec(3, alpha_sq)
+    point = {**vars(ir_report(spec)), **vars(info_report(spec))}
+    assert type(point.pop("full_separation")) is bool
+    assert {name: type(value) for name, value in point.items()} == dict.fromkeys(point, float)
+    (block,) = coefficient_grid(3, [alpha_sq, 1.0])
+    columns = {**vars(ir_columns(block)), **vars(info_columns(block))}
+    assert columns.pop("confidence_success") == 1.0
+    assert all(type(value) is np.ndarray and value.shape == (2,)
+               for value in columns.values()), columns
+
+
 def wide_fold(a2, n, mode):
     """_fold's running products over a window twice as wide as _fold's."""
     half = 2 * (n + math.ceil(12.0 * math.sqrt(mode + 1)) + 40)

@@ -61,7 +61,8 @@ def test_spec_n_cap_is_inclusive():
         EnsembleSpec(MAX_N_STATES + 1, 1.0)
 
 
-@pytest.mark.parametrize("alpha_sq", [-1.0, -1e-12, math.inf, math.nan, "x", 1.0000001e8])
+@pytest.mark.parametrize("alpha_sq", [-1.0, -1e-12, math.inf, math.nan, "x", 1.0000001e8,
+                                      True, np.True_])
 def test_spec_rejects_bad_alpha_sq(alpha_sq):
     with pytest.raises(DomainError):
         EnsembleSpec(3, alpha_sq)

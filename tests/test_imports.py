@@ -1,8 +1,10 @@
-"""Source hygiene: every imported name in src/ and tests/ is referenced, no
-cvdisc module imports a sibling's private name but _frozen, the oracle's Gram
-route reads nothing from the kernel, and no command loads scipy."""
+"""Source hygiene: every imported name in src/ and tests/ is referenced,
+cvdisc.__all__ is exactly what the package imports, no cvdisc module imports
+a sibling's private name but _frozen, the oracle's Gram route reads nothing
+from the kernel, and no command loads scipy."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -48,6 +50,30 @@ def test_detects_an_unused_import(tmp_path):
                       "import os\nimport numpy as np\nfrom math import pi, tau\n"
                       "print(np.pi, tau)\n")
     assert unused_imports(module) == [(2, "os"), (4, "pi")]
+
+
+def export_gaps(init_path, exported):
+    """Names in exported (the package's __all__) that its __init__ file does
+    not import, and names it imports that exported leaves out, sorted."""
+    tree = ast.parse(init_path.read_text(encoding="utf-8"), filename=str(init_path))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return sorted(set(exported) ^ imported)
+
+
+def test_all_is_what_the_package_imports():
+    import cvdisc
+    assert len(set(cvdisc.__all__)) == len(cvdisc.__all__)
+    assert export_gaps(ROOT / "src" / "cvdisc" / "__init__.py", cvdisc.__all__) == []
+
+
+def test_detects_a_stale_export(tmp_path):
+    init = tmp_path / "__init__.py"
+    init.write_text("from math import e, pi\n__all__ = ['pi', 'deleted_name']\n")
+    spec = importlib.util.spec_from_file_location("sample", init)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert export_gaps(init, module.__all__) == ["deleted_name", "e"]
 
 
 # The one private helper shared across modules: it marks arrays read-only.
