@@ -33,7 +33,8 @@ class CubicSolution:
 
     roots holds (p_s_1, p_s_2, p_s_3) from the trigonometric closed forms;
     selected is the 1-based branch label whose root is physical on this
-    alpha^2 interval; q_tilde = (1 - p_s) * exp(3*alpha^2/2) >= 1.
+    alpha^2 interval, kink_below <= alpha_sq < kink_above (kink_below None
+    below the first kink); q_tilde = (1 - p_s) * exp(3*alpha^2/2) >= 1.
     """
 
     alpha_sq: float
@@ -42,6 +43,8 @@ class CubicSolution:
     roots: tuple[float, float, float]
     selected: int
     p_s: float
+    kink_below: float | None
+    kink_above: float
 
 
 def _branch_q(theta: float, branch: int) -> float:
@@ -59,7 +62,8 @@ def solve_n3(alpha_sq: float) -> CubicSolution:
 
     theta = sqrt(3)*alpha^2/2 is a third of the phase; the physical branch is
     3 for theta in [0, 2*pi/3), 1 on [2*pi/3, 4*pi/3), 2 on [4*pi/3, 2*pi),
-    then periodic. The schedule is the closed-form statement of "the root
+    then periodic, so the branch follows kinks_n3's count of kinks at or
+    below alpha^2. The schedule is the closed-form statement of "the root
     that stays in [1, 2]", so no runtime continuity tracking is needed.
     """
     a2 = EnsembleSpec(3, alpha_sq).alpha_sq
@@ -71,12 +75,24 @@ def solve_n3(alpha_sq: float) -> CubicSolution:
         1.0 - damp * (math.cos(theta) - math.sqrt(3.0) * math.sin(theta)),
         1.0 - damp * (math.cos(theta) + math.sqrt(3.0) * math.sin(theta)),
     )
-    selected = _BRANCH_CYCLE[int(theta // (2.0 * math.pi / 3.0)) % 3]
+    m = _kink_count(a2)
+    selected = _BRANCH_CYCLE[m % 3]
     q = _branch_q(theta, selected)
     # cos(pi/3) rounds a hair above 1/2, so the vacuum would land at -2e-16.
     p_s = min(1.0, max(0.0, 1.0 - q * damp))
     return CubicSolution(alpha_sq=a2, berry_phase=phi, q_tilde=q,
-                         roots=roots, selected=selected, p_s=p_s)
+                         roots=roots, selected=selected, p_s=p_s,
+                         kink_below=m * KINK_PERIOD if m else None,
+                         kink_above=(m + 1) * KINK_PERIOD)
+
+
+def _kink_count(a2: float) -> int:
+    """How many kinks m * KINK_PERIOD, m >= 1, lie at or below a2 >= 0. The
+    quotient rounds, so m starts one past its floor and steps down."""
+    m = math.floor(a2 / KINK_PERIOD) + 1
+    while m * KINK_PERIOD > a2:
+        m -= 1
+    return m
 
 
 def kinks_n3(alpha_sq_max: float) -> np.ndarray:
@@ -86,11 +102,6 @@ def kinks_n3(alpha_sq_max: float) -> np.ndarray:
     bound = EnsembleSpec(3, alpha_sq_max).alpha_sq
     if bound == 0.0:
         raise DomainError("alpha_sq_max must be > 0, got 0.0")
-    # The quotient and the products round, so the rule m * KINK_PERIOD <=
-    # bound may hold for one m more or one less than the quotient's floor.
-    m = math.floor(bound / KINK_PERIOD) + 1
-    while m * KINK_PERIOD > bound:
-        m -= 1
-    kinks = np.arange(1.0, m + 1)     # whole numbers, exact in a double
+    kinks = np.arange(1.0, _kink_count(bound) + 1)     # whole numbers, exact in a double
     kinks *= KINK_PERIOD
     return _frozen(kinks)

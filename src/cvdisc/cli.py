@@ -64,6 +64,8 @@ _REPORT_FIELDS = ("p_s", "p_c_med", "p_c_med_beta", "p_c_ir", "fidelity",
                   "confidence_failure")
 _REPORT_LINES = ("n_states", "alpha_sq", *_REPORT_FIELDS, "i_ud", "i_ir", "gain",
                  "h_fail", "failure_dim", "full_separation")
+_N3_LINES = ("alpha_sq", "berry_phase", "root_1", "root_2", "root_3", "selected_branch",
+             "p_s", "q_tilde", "kink_below", "kink_above")
 
 
 @dataclass(frozen=True)
@@ -88,26 +90,28 @@ class SweepRequest:
             raise DomainError(f"steps must be in [2, {STEPS_CAP}], got {self.steps}")
 
 
-def _g(x: float | int) -> str:
-    """An integer or flag as it is; any other figure to 12 digits."""
-    return str(x) if isinstance(x, int) else f"{x:.12g}"
+def _g(x: float | int | str) -> str:
+    """An integer, flag or word as it is; any other figure to 12 digits."""
+    return str(x) if isinstance(x, (int, str)) else f"{x:.12g}"
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     # Write to a sibling temp file and rename so no partial file can remain;
     # chunks may be computed lazily, and a failure while computing one also
-    # leaves no file.
+    # leaves no file. An OSError names path, never the temp file.
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cvdisc-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cvdisc-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _values(profile: CoefficientProfile) -> dict:
@@ -237,22 +241,9 @@ def cmd_mc(n: int, alpha_sq: float, shots: int, seed: int,
 
 def cmd_n3(alpha_sq: float) -> int:
     sol = analytic3.solve_n3(alpha_sq)
-    period = analytic3.KINK_PERIOD
-    below = math.floor(sol.alpha_sq / period) * period
-    above = below + period
-    lines = [
-        f"alpha_sq        = {_g(sol.alpha_sq)}",
-        f"berry_phase     = {_g(sol.berry_phase)}",
-        f"root_1          = {_g(sol.roots[0])}",
-        f"root_2          = {_g(sol.roots[1])}",
-        f"root_3          = {_g(sol.roots[2])}",
-        f"selected_branch = {sol.selected}",
-        f"p_s             = {_g(sol.p_s)}",
-        f"q_tilde         = {_g(sol.q_tilde)}",
-        f"kink_below      = {_g(below) if below > 0 else 'none'}",
-        f"kink_above      = {_g(above)}",
-    ]
-    print("\n".join(lines))
+    values = {**vars(sol), **{f"root_{i}": root for i, root in enumerate(sol.roots, 1)},
+              "selected_branch": sol.selected, "kink_below": sol.kink_below or "none"}
+    print("\n".join(f"{name:<16}= {_g(values[name])}" for name in _N3_LINES))
     return EXIT_OK
 
 

@@ -185,9 +185,9 @@ class CoefficientProfile:
     def failure_dim(self):
         return self.n_states - self.multiplicity
 
-    @property
+    @functools.cached_property
     def degenerate(self):
-        # np.count_nonzero along an axis takes numpy's slow path.
+        # Kept on first read; np.count_nonzero along an axis is numpy's slow path.
         return (self.c_sq != 0.0).sum(axis=-1) == 1
 
     def view(self, record: type, **fields):

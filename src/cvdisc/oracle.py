@@ -16,8 +16,9 @@ checks the assembly, the trace-derived probabilities and the Helstrom
 certificates against the closed forms in discrim, not the choice of
 separation. The Gram route checks that: gram_probabilities derives every
 report field from the eigenvalues of the overlap matrix gram alone, reading
-nothing from the kernel. The Fock-basis checks allow for the measured
-truncation of each basis row.
+nothing from the kernel. In the Fock basis the measurement acts on the
+truncated basis rows normalised to unit length, an exact POVM on their span,
+so truncation reaches the probabilities only through the states.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ class MatrixWorkspace:
     the minimum-error projector of outcome k is |u_k><u_k| with u_k =
     u_states[k], and the two-stage chain's elements are |v_k><v_k| with v_k
     = A^dagger u_k taken from success_vectors / failure_vectors, A being the
-    success or failure Kraus operator of the separation. span_projector
-    projects onto the span of the symmetric basis vectors (the identity when
-    the basis is 'phi').
+    success or failure Kraus operator of the separation. These vectors lie on
+    the basis rows normalised to unit length, and span_projector projects
+    onto their span (the identity when the basis is 'phi').
     """
 
     basis: str
@@ -73,15 +74,13 @@ class MedCertificate:
     """Outcome of a Helstrom optimality check.
 
     worst_eigenvalue is the most negative eigenvalue of Gamma - rho_k/N over
-    all k (worst_index says which k); hermiticity_defect is the largest entry
-    of |Gamma - Gamma^dagger|.
+    all k; hermiticity_defect is the largest entry of |Gamma - Gamma^dagger|.
     """
 
     which: str
     passed: bool
     hermiticity_defect: float
     worst_eigenvalue: float
-    worst_index: int
 
 
 def build_workspace(spec: EnsembleSpec,
@@ -91,12 +90,12 @@ def build_workspace(spec: EnsembleSpec,
 
     basis 'phi' works in the N-dimensional symmetric basis (exact, fast);
     basis 'fock' reconstructs everything in a truncated Fock space whose
-    cutoff is controlled by tail_eps, and applies the Kraus operators
-    through the N coordinates of each vector on the basis rows.
+    cutoff is controlled by tail_eps. The states lie on the rows that
+    basis_amplitudes returns; the measurement acts on those rows
+    normalised to unit length (a zero row stays zero), through the N
+    coordinates of each vector, so the chain is an exact POVM on their span.
     Construction raises CertificationFailure if either completeness
-    relation misses the span projector by more than 1e-10, plus, for the
-    two-stage chain, 2 * max_j(1 - |phi_j|^2): truncation shortens each
-    Fock row, and the chain sees that once per Kraus factor.
+    relation misses the span projector by more than 1e-10.
     Every element is |v><v| for a stored vector v, so it is positive
     semidefinite by construction. N above VERIFY_N_CAP raises DomainError
     before anything is built.
@@ -111,36 +110,36 @@ def build_workspace(spec: EnsembleSpec,
     failure_profile(profile)                  # raises FullSeparation when empty
 
     if basis == "phi":
-        phi_rows = np.eye(n, dtype=complex)
-        tail_mass = norm_defect = 0.0
+        phi_rows = unit_rows = np.eye(n, dtype=complex)
+        tail_mass = 0.0
     else:
         amp = basis_amplitudes(spec, tail_eps)
         phi_rows = amp.amps.astype(complex)
         tail_mass = amp.tail_mass
         # Rows of underflowed coefficients are zero and span nothing.
-        norms = np.sum(amp.amps ** 2, axis=1)
-        norm_defect = float(np.max(1.0 - norms[norms > 0.0], initial=0.0))
-    dim = phi_rows.shape[1]
+        norms = np.linalg.norm(amp.amps, axis=1)
+        unit_rows = phi_rows / np.where(norms > 0.0, norms, 1.0)[:, None]
 
     k = np.arange(n)
     phases = np.exp(2j * np.pi * np.outer(k, k) / n)      # w^(k*j)
-    weights = np.array((profile.c, np.full(n, n ** -0.5), profile.b))
-    alpha_states, u_states, beta_states = _frozen((phases * weights[:, None, :]) @ phi_rows)
+    alpha_states, beta_states = _frozen(
+        (phases * np.array((profile.c, profile.b))[:, None, :]) @ phi_rows)
 
-    # A = sum_j diag_j |phi_j><phi_j| is diagonal in the N coordinates
-    # <phi_j|u_k>, so row k of the product is (A^dagger u_k)^T and no d x d
-    # Kraus operator is formed.
-    success_vectors, failure_vectors = (
-        _frozen(((u_states @ phi_rows.T.conj()) * diag) @ phi_rows) for diag in kraus)
-    span = phi_rows.T @ phi_rows.conj()
+    # On the unit rows e_j, u_k has coordinates w^(kj)/sqrt(N) and A = sum_j
+    # diag_j |e_j><e_j| scales coordinate j, so A^dagger u_k is one row of the
+    # stacked product and no d x d Kraus operator is formed.
+    u_coords = phases * n ** -0.5
+    u_states, success_vectors, failure_vectors = _frozen(
+        (u_coords * np.vstack((np.ones(n), kraus))[:, None, :]) @ unit_rows)
+    span = unit_rows.T @ unit_rows.conj()
 
     ws = MatrixWorkspace(
-        basis=basis, n_states=n, alpha_sq=spec.alpha_sq, dimension=dim,
+        basis=basis, n_states=n, alpha_sq=spec.alpha_sq, dimension=phi_rows.shape[1],
         alpha_states=alpha_states, u_states=u_states, beta_states=beta_states,
         success_vectors=success_vectors, failure_vectors=failure_vectors,
         span_projector=_frozen(span), tail_mass=tail_mass,
     )
-    _check_construction(ws, norm_defect)
+    _check_construction(ws)
     return ws
 
 
@@ -162,7 +161,7 @@ def _kraus_diagonals(profile: CoefficientProfile) -> np.ndarray:
     return np.array((a_s, a_f))
 
 
-def _check_construction(ws: MatrixWorkspace, norm_defect: float) -> None:
+def _check_construction(ws: MatrixWorkspace) -> None:
     # Each element sum sum_k |v_k><v_k| is v.T @ v.conj(); one d x d
     # residual is held at a time, reduced in place.
     residual = ws.u_states.T @ ws.u_states.conj()
@@ -172,7 +171,7 @@ def _check_construction(ws: MatrixWorkspace, norm_defect: float) -> None:
     residual = ws.success_vectors.T @ ws.success_vectors.conj()
     residual += ws.failure_vectors.T @ ws.failure_vectors.conj()
     residual -= ws.span_projector
-    if float(np.max(np.abs(residual))) > _COMPLETENESS_TOL + 2.0 * norm_defect:
+    if float(np.max(np.abs(residual))) > _COMPLETENESS_TOL:
         raise CertificationFailure("two-stage POVM does not resolve the span")
 
 
@@ -294,11 +293,10 @@ def _certify(vectors: np.ndarray, families: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _certificate(which: str, defect: float, lows: np.ndarray) -> MedCertificate:
-    worst_k = int(np.argmin(lows))
-    worst = float(lows[worst_k])
+    worst = float(lows.min())
     passed = defect < HERMITICITY_TOL and worst >= -EIGENVALUE_TOL
     return MedCertificate(which=which, passed=passed, hermiticity_defect=float(defect),
-                          worst_eigenvalue=worst, worst_index=worst_k)
+                          worst_eigenvalue=worst)
 
 
 def certify_med_optimality(ws: MatrixWorkspace) -> tuple[MedCertificate, MedCertificate]:

@@ -41,6 +41,21 @@ def test_selected_branch_schedule():
         assert solve_n3(alpha_sq).selected == branch, alpha_sq
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 9, 10, 12, 1000, 123457])
+def test_branch_and_neighbours_follow_the_kink_count(m):
+    # At a kink and one ulp either side, the branch and the bounding kinks
+    # follow kinks_n3's count, whatever the quotient alpha^2 / KINK_PERIOD
+    # rounds to.
+    kink = m * PERIOD
+    for alpha_sq in (math.nextafter(kink, 0.0), kink, math.nextafter(kink, math.inf)):
+        sol = solve_n3(alpha_sq)
+        count = kinks_n3(alpha_sq).size
+        assert sol.selected == (3, 1, 2)[count % 3]
+        assert sol.kink_below == (count * PERIOD if count else None)
+        assert (sol.kink_below or 0.0) <= alpha_sq < sol.kink_above
+        assert sol.kink_above == (count + 1) * PERIOD
+
+
 def test_roots_coincide_at_kink():
     sol = solve_n3(KINK_PERIOD)
     assert abs(sol.roots[0] - sol.roots[2]) < 1e-10

@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import errno
 import math
+import os
 import subprocess
 import sys
 
@@ -187,6 +189,22 @@ def test_sweep_io_error_exit_3(capsys, tmp_path):
     assert code == 3
     assert "i/o error" in err
     assert not target.exists()
+
+
+OUT_ARGVS = {
+    "sweep": ("sweep", "--n", "3", "--alpha2-min", "0.5", "--alpha2-max", "1.0", "--steps", "2"),
+    "mc": ("mc", "--n", "3", "--alpha2", "1.0", "--shots", "1000", "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_ARGVS))
+@pytest.mark.parametrize("out, code", [("missing/out.csv", errno.ENOENT), ("adir", errno.EISDIR)])
+def test_io_error_names_the_output_path(capsys, tmp_path, monkeypatch, command, out, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    exit_code, _, err = run(capsys, *OUT_ARGVS[command], "--out", out)
+    assert (exit_code, err) == (3, f"i/o error: [Errno {code}] {os.strerror(code)}: '{out}'\n")
+    assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
 
 
 def test_sweep_onto_a_directory_leaves_no_temp_file(capsys, tmp_path):
@@ -469,6 +487,16 @@ def test_n3_past_first_kink(capsys):
     assert values["selected_branch"] == "1"
     assert values["kink_below"] == "2.41839915231"
     assert values["kink_above"] == "4.83679830462"
+
+
+def test_n3_neighbours_at_a_kink(capsys):
+    # 3 * KINK_PERIOD rounds to 7.255197456936871, above this alpha^2.
+    code, out, _ = run(capsys, "n3", "--alpha2", "7.2551974569368705")
+    assert code == 0
+    values = parse_report(out)
+    assert values["selected_branch"] == "2"
+    assert values["kink_below"] == "4.83679830462"
+    assert values["kink_above"] == "7.25519745694"
 
 
 # --- verify -----------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name in src/ and tests/ is referenced,
-cvdisc.__all__ is exactly what the package imports, no cvdisc module imports
-a sibling's private name but _frozen, the oracle's Gram route reads nothing
-from the kernel, and no command loads scipy."""
+every parameter of a function in src/cvdisc is read, cvdisc.__all__ is
+exactly what the package imports, no cvdisc module imports a sibling's
+private name but _frozen, the oracle's Gram route reads nothing from the
+kernel, and no command loads scipy."""
 
 import ast
 import importlib.util
@@ -50,6 +51,48 @@ def test_detects_an_unused_import(tmp_path):
                       "import os\nimport numpy as np\nfrom math import pi, tau\n"
                       "print(np.pi, tau)\n")
     assert unused_imports(module) == [(2, "os"), (4, "pi")]
+
+
+def unused_parameters(path):
+    """(line, function, name) of every parameter of a function or lambda in
+    the module that its body never reads; self and cls are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {name.id for stmt in body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        found += [(node.lineno, getattr(node, "name", "<lambda>"), param) for param in params
+                  if param not in read and param not in ("self", "cls")]
+    return sorted(found)
+
+
+def test_no_unused_parameters():
+    files = sorted((ROOT / "src" / "cvdisc").glob("*.py"))
+    assert files
+    found = [f"{p.relative_to(ROOT)}:{line}: {function}({name})"
+             for p in files for line, function, name in unused_parameters(p)]
+    assert not found, "parameters never read:\n" + "\n".join(found)
+
+
+def test_detects_an_unused_parameter(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("class A:\n"
+                      "    def method(self, used, unused):\n        return used\n"
+                      "    @classmethod\n    def build(cls, *args, **kwargs):\n"
+                      "        return cls(*args)\n"
+                      "def check(ws, norm_defect):\n    ws.check()\n"
+                      "def outer(x, y):\n    def inner():\n        return x\n    y = 1\n"
+                      "    return inner\n"
+                      "key = lambda item, spare: item\n")
+    assert unused_parameters(module) == [(2, "method", "unused"), (5, "build", "kwargs"),
+                                         (7, "check", "norm_defect"), (9, "outer", "y"),
+                                         (14, "<lambda>", "spare")]
 
 
 def export_gaps(init_path, exported):

@@ -112,6 +112,23 @@ def test_fock_basis_agrees_with_phi():
     assert max_field_gap(phi, fock) < 1e-9
 
 
+@pytest.mark.parametrize("n, alpha_sq", [(4, 1.0), (8, 6.0), (64, 30.0)])
+def test_fock_span_projector_is_a_projector(n, alpha_sq):
+    p = build_workspace(EnsembleSpec(n, alpha_sq), "fock").span_projector
+    assert np.max(np.abs(p @ p - p)) < 1e-13
+
+
+@pytest.mark.parametrize("n, alpha_sq", [(103, 0.03), (177, 1.0)])
+def test_fock_builds_where_rows_are_long(n, alpha_sq):
+    # Subnormal c_j leave some Fock rows sqrt(p_k)/c_j off unit norm; the
+    # measurement acts on the normalised rows, so the chain still resolves
+    # the span and the probabilities match the phi basis.
+    spec = EnsembleSpec(n, alpha_sq)
+    phi = brute_force_probabilities(build_workspace(spec))
+    fock = brute_force_probabilities(build_workspace(spec, "fock"))
+    assert max_field_gap(phi, fock) < 1e-9
+
+
 def test_brute_unambiguity():
     # A success outcome never points at the wrong preparation.
     success, _ = brute_force_joint(build_workspace(EnsembleSpec(5, 1.2)))
@@ -214,9 +231,9 @@ def test_certificate_memory_is_bounded():
 
 
 def test_fock_workspace_memory_is_bounded():
-    # The Fock build holds one d x d Kraus operator, the span projector and
-    # one completeness residual at a time, not a stack of them: below six
-    # d x d complex arrays at its peak (d = 431 here).
+    # The Fock build forms no d x d Kraus operator: it holds the span
+    # projector and one completeness residual with its product at a time,
+    # below six d x d complex arrays at its peak (d = 431 here).
     spec = EnsembleSpec(32, 300.0)
     tracemalloc.start()
     try:
@@ -314,14 +331,19 @@ def test_workspace_arrays_immutable():
         ws.u_states[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("basis", ["phi", "fock"])
-def test_broken_separation_fails_chain_completeness(monkeypatch, basis):
-    # A failure Kraus diagonal 1e-8 too long breaks A_s'A_s + A_f'A_f = 1.
+@pytest.mark.parametrize("basis, n, alpha_sq, stretch", [
+    pytest.param("phi", 4, 2.0, 1e-8, id="phi"),
+    pytest.param("fock", 4, 2.0, 1e-8, id="fock"),
+    # Row phi_1 keeps almost none of its norm below this cutoff.
+    pytest.param("fock", 128, 64.0, 1e-6, id="fock-row-truncated-away"),
+])
+def test_broken_separation_fails_chain_completeness(monkeypatch, basis, n, alpha_sq, stretch):
+    # A failure Kraus diagonal slightly too long breaks A_s'A_s + A_f'A_f = 1.
     exact = oracle._kraus_diagonals
 
     def stretched(profile):
-        return exact(profile) * [[1.0], [1 + 1e-8]]
+        return exact(profile) * [[1.0], [1 + stretch]]
 
     monkeypatch.setattr(oracle, "_kraus_diagonals", stretched)
     with pytest.raises(CertificationFailure, match="two-stage POVM"):
-        build_workspace(EnsembleSpec(4, 2.0), basis=basis)
+        build_workspace(EnsembleSpec(n, alpha_sq), basis=basis)
