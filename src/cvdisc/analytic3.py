@@ -34,7 +34,8 @@ class CubicSolution:
     roots holds (p_s_1, p_s_2, p_s_3) from the trigonometric closed forms;
     selected is the 1-based branch label whose root is physical on this
     alpha^2 interval, kink_below <= alpha_sq < kink_above (kink_below None
-    below the first kink); q_tilde = (1 - p_s) * exp(3*alpha^2/2) >= 1.
+    below the first kink); p_s is the selected root clamped to [0, 1], and
+    q_tilde = (1 - p_s) * exp(3*alpha^2/2) >= 1 is its branch value.
     """
 
     alpha_sq: float
@@ -45,16 +46,6 @@ class CubicSolution:
     p_s: float
     kink_below: float | None
     kink_above: float
-
-
-def _branch_q(theta: float, branch: int) -> float:
-    # q roots of q^3 - 3q + 2*cos(3*theta) = 0, evaluated without the
-    # cancellation that 1 - p_s would suffer at large alpha^2.
-    if branch == 1:
-        return -2.0 * math.cos(theta)
-    if branch == 2:
-        return 2.0 * math.cos(theta + math.pi / 3.0)
-    return 2.0 * math.cos(theta - math.pi / 3.0)
 
 
 def solve_n3(alpha_sq: float) -> CubicSolution:
@@ -70,16 +61,15 @@ def solve_n3(alpha_sq: float) -> CubicSolution:
     theta = math.sqrt(3.0) * a2 / 2.0
     phi = 3.0 * theta
     damp = math.exp(-1.5 * a2)
-    roots = (
-        1.0 + 2.0 * damp * math.cos(theta),
-        1.0 - damp * (math.cos(theta) - math.sqrt(3.0) * math.sin(theta)),
-        1.0 - damp * (math.cos(theta) + math.sqrt(3.0) * math.sin(theta)),
-    )
+    # The q roots of q^3 - 3q + 2*cos(3*theta) = 0, one per branch.
+    c, s = math.cos(theta), math.sin(theta)
+    qs = (-2.0 * c, c - math.sqrt(3.0) * s, c + math.sqrt(3.0) * s)
+    roots = tuple(1.0 - damp * q for q in qs)
     m = _kink_count(a2)
     selected = _BRANCH_CYCLE[m % 3]
-    q = _branch_q(theta, selected)
-    # cos(pi/3) rounds a hair above 1/2, so the vacuum would land at -2e-16.
-    p_s = min(1.0, max(0.0, 1.0 - q * damp))
+    q = qs[selected - 1]
+    # 1 - q*damp cancels at small alpha^2; the clamp bounds its rounding.
+    p_s = min(1.0, max(0.0, roots[selected - 1]))
     return CubicSolution(alpha_sq=a2, berry_phase=phi, q_tilde=q,
                          roots=roots, selected=selected, p_s=p_s,
                          kink_below=m * KINK_PERIOD if m else None,

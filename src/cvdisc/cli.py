@@ -143,33 +143,20 @@ def cmd_sweep(request: SweepRequest, out_path: str) -> int:
     return EXIT_OK
 
 
-def _beyond_6_sigma(count: int, expected: float, z: float) -> bool:
-    """Whether a cell's count deviates beyond 6 sigma. From an expected
+def _beyond_6_sigma(count: np.ndarray, expected: np.ndarray, z: np.ndarray) -> bool:
+    """Whether any cell's count deviates beyond 6 sigma. From an expected
     count of 100 up, |z| > 6 decides. Below that the normal tails are too
     light (a correct sampler passes |z| > 6 ~400 times too often at 10
     expected counts, ~5e6 times at 0.01), so the count k is tested by the
     Poisson Chernoff bound e^-lam (e lam/k)^k on the chance of a count as far
     from lam on its side against the two-sided 6 sigma level 1.97e-9; the
     bound is 0 for a count in a cell of probability 0."""
-    if expected >= 100.0:
-        return abs(z) > 6.0
-    tail = math.exp(-expected) * (math.e * expected / max(count, 1)) ** count
-    return tail < _SIX_SIGMA
-
-
-def _any_beyond_6_sigma(count: np.ndarray, expected: np.ndarray, z: np.ndarray) -> bool:
-    """Whether _beyond_6_sigma flags any cell of the arrays. numpy's exp and
-    pow may differ from libm's in the last bits, so a cell whose tail bound
-    lies within 1e-12 of the level is left to _beyond_6_sigma itself; every
-    cell is then decided exactly as _beyond_6_sigma decides it."""
     low = expected < 100.0
     if (np.abs(z[~low]) > 6.0).any():
         return True
     k, lam = count[low], expected[low]
     tail = np.exp(-lam) * (math.e * lam / np.maximum(k, 1)) ** k
-    near = np.abs(tail - _SIX_SIGMA) <= 1e-12 * _SIX_SIGMA
-    return bool((tail[~near] < _SIX_SIGMA).any()) or any(
-        map(_beyond_6_sigma, k[near].tolist(), lam[near].tolist(), z[low][near].tolist()))
+    return bool((tail < _SIX_SIGMA).any())
 
 
 def _cell_blocks(counts: np.ndarray) -> Iterator[tuple[int, np.ndarray, list[list]]]:
@@ -209,7 +196,7 @@ def _mc_table(result: montecarlo.MCResult) -> tuple[float, bool]:
             z = np.where(sigma > 0.0, (emp - prob) / sigma,
                          np.where(emp == prob, 0.0, math.inf))
         worst_z = max(worst_z, float(np.abs(z).max()))
-        flagged = flagged or _any_beyond_6_sigma(count, prob * shots, z)
+        flagged = flagged or _beyond_6_sigma(count, prob * shots, z)
         columns = [*index, count.ravel().tolist(), emp.ravel().tolist(),
                    prob.ravel().tolist(), z.ravel().tolist()]
         sys.stdout.write("".join(_MC_ROW % row for row in zip(*columns)))

@@ -199,6 +199,8 @@ def brute_force_probabilities(ws: MatrixWorkspace) -> DiscriminationReport:
     One trace matrix holds every overlap the report reads: rows are the
     success, failure and minimum-error vectors, columns the input and
     failure states, and each field is read from one N x N block of it.
+    Where the success branch carries a trace mass of exactly 0 (c_min^2
+    underflows to 0), confidence_success takes the closed form's limit 1.
     """
     n = ws.n_states
     traces = _traces(np.concatenate((ws.success_vectors, ws.failure_vectors, ws.u_states)),
@@ -220,7 +222,7 @@ def brute_force_probabilities(ws: MatrixWorkspace) -> DiscriminationReport:
         fidelity=fidelity,
         infidelity=1.0 - fidelity,
         error_bound=max(0.0, 1.0 - fidelity / p_c_med),
-        confidence_success=success / success_total,
+        confidence_success=success / success_total if success_total != 0.0 else 1.0,
         confidence_failure=failure / failure_total,
     )
 

@@ -335,6 +335,19 @@ def test_mc_rare_hit_is_not_flagged(capsys):
     assert float(values["max_abs_z"]) > 6.0
 
 
+def beyond_6_sigma_reference(count, expected, z):
+    """The 6 sigma rule of cli._beyond_6_sigma for one cell, in Python
+    floats: |z| > 6 from 100 expected counts up, else the Poisson Chernoff
+    bound against the two-sided level."""
+    if expected >= 100.0:
+        return abs(z) > 6.0
+    return poisson_tail_bound(count, expected) < cli._SIX_SIGMA
+
+
+def poisson_tail_bound(count, expected):
+    return math.exp(-expected) * (math.e * expected / max(count, 1)) ** count
+
+
 @pytest.mark.parametrize("count,expected,z,flagged", [
     (1, 0.0115, 9.22, False),        # one count where 0.0115 are expected
     (1, 0.0, math.inf, True),        # a count in a cell of probability 0
@@ -346,49 +359,29 @@ def test_mc_rare_hit_is_not_flagged(capsys):
     (161, 100.0, 6.1, True),
 ])
 def test_mc_flag_rule(count, expected, z, flagged):
-    assert cli._beyond_6_sigma(count, expected, z) is flagged
-
-
-def near_level_cells():
-    """(count, expected) cells whose Poisson tail bound lies within a few ulp
-    of the 6 sigma level, found by bisection on _beyond_6_sigma's formula."""
-    def tail(k, lam):
-        return math.exp(-lam) * (math.e * lam / max(k, 1)) ** k
-
-    cells = []
-    for k in range(0, 60, 3):
-        for lo, hi in ((0.0, max(k, 1e-300)), (max(k, 1e-300), 100.0)):
-            if (tail(k, lo) < cli._SIX_SIGMA) == (tail(k, hi) < cli._SIX_SIGMA):
-                continue
-            for _ in range(200):
-                mid = (lo + hi) / 2.0
-                if (tail(k, mid) < cli._SIX_SIGMA) == (tail(k, lo) < cli._SIX_SIGMA):
-                    lo = mid
-                else:
-                    hi = mid
-            for lam in np.nextafter(lo, np.full(8, -1.0)).tolist() + [lo, hi] + \
-                    np.nextafter(hi, np.full(8, 1e3)).tolist():
-                cells.append((k, lam))
-    return cells
+    assert beyond_6_sigma_reference(count, expected, z) is flagged
+    assert cli._beyond_6_sigma(np.array([count]), np.array([expected]), np.array([z])) is flagged
 
 
 def test_mc_array_flag_rule_decides_each_cell_as_the_scalar_rule():
     rng = np.random.default_rng(6)
     lam = 10.0 ** rng.uniform(-6.0, 4.0, 4000)
     count = rng.poisson(lam * rng.uniform(0.0, 3.0, lam.size))
-    near = near_level_cells()
-    assert len(near) > 100
-    count = np.concatenate([count, [k for k, _ in near], [0, 1, 0]])
-    lam = np.concatenate([lam, [x for _, x in near], [0.0, 0.0, 150.0]])
+    count = np.concatenate([count, [0, 1, 0]])
+    lam = np.concatenate([lam, [0.0, 0.0, 150.0]])
     z = rng.uniform(-8.0, 8.0, lam.size)
-    decided = [cli._any_beyond_6_sigma(count[i:i + 1], lam[i:i + 1], z[i:i + 1])
+    # numpy's exp and pow may differ from libm's in the last bits, so the
+    # cells compared keep clear of the level.
+    assert not [(c, e) for c, e in zip(count.tolist(), lam.tolist()) if e < 100.0
+                and abs(poisson_tail_bound(c, e) - cli._SIX_SIGMA) <= 1e-12 * cli._SIX_SIGMA]
+    decided = [cli._beyond_6_sigma(count[i:i + 1], lam[i:i + 1], z[i:i + 1])
                for i in range(lam.size)]
-    assert decided == [cli._beyond_6_sigma(int(c), float(e), float(x))
+    assert decided == [beyond_6_sigma_reference(int(c), float(e), float(x))
                        for c, e, x in zip(count, lam, z)]
     assert 0 < sum(decided) < lam.size
-    assert cli._any_beyond_6_sigma(count, lam, z) is True
+    assert cli._beyond_6_sigma(count, lam, z) is True
     unflagged = ~np.array(decided)
-    assert cli._any_beyond_6_sigma(count[unflagged], lam[unflagged], z[unflagged]) is False
+    assert cli._beyond_6_sigma(count[unflagged], lam[unflagged], z[unflagged]) is False
 
 
 def reference_mc_table(result):
@@ -411,7 +404,7 @@ def reference_mc_table(result):
         else:
             z = math.inf
         worst_z = max(worst_z, abs(z))
-        flagged = flagged or cli._beyond_6_sigma(count, prob * shots, z)
+        flagged = flagged or beyond_6_sigma_reference(count, prob * shots, z)
         lines.append(f"{k:4d} {kp:7d} {'sf'[br]:>6s} {count:10d} {emp:.6e} {prob:.6e} {z:8.3f}\n")
         rows.append(f"{k},{kp},{'sf'[br]},{count}\n")
     return "".join(lines), worst_z, flagged, "".join(rows)
@@ -548,6 +541,19 @@ def test_verify_passes_where_coefficients_or_rows_are_small(capsys, argv):
     lines = [ln for ln in out.splitlines() if ln]
     assert len(lines) == 4
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+def test_verify_at_an_empty_success_branch(capsys):
+    # c_min^2 underflows to exactly 0, so the success branch has no trace
+    # mass and confidence_success takes the closed form's limit 1.
+    for n, alpha_sq in (("3", "1e-170"), ("16", "1e-30"), ("16", "1e-170"), ("3", "1e-300")):
+        code, out, err = run(capsys, "verify", "--n", n, "--alpha2", alpha_sq)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 4 and all(ln.startswith("PASS ") for ln in lines)
+    brute = oracle.brute_force_probabilities(
+        oracle.build_workspace(ensemble.EnsembleSpec(16, 1e-30)))
+    assert (brute.p_s, brute.confidence_success) == (0.0, 1.0)
 
 
 def test_verify_vacuum_exit_2(capsys):

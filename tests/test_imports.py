@@ -1,4 +1,5 @@
 """Source hygiene: every imported name in src/ and tests/ is referenced,
+every module-level private definition in src/cvdisc is referenced there,
 every parameter of a function in src/cvdisc is read, cvdisc.__all__ is
 exactly what the package imports, no cvdisc module imports a sibling's
 private name but _frozen, the oracle's Gram route reads nothing from the
@@ -51,6 +52,65 @@ def test_detects_an_unused_import(tmp_path):
                       "import os\nimport numpy as np\nfrom math import pi, tau\n"
                       "print(np.pi, tau)\n")
     assert unused_imports(module) == [(2, "os"), (4, "pi")]
+
+
+def private_definitions(path):
+    """(line, name) of every private function, class or constant defined at
+    the module's top level; dunder names are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def referenced_names(paths):
+    """Every name the modules read, and every attribute they access."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def unreferenced_private_definitions(paths):
+    """(path, line, name) of every module-level private definition in paths
+    that no module in paths references, by name or as an attribute."""
+    used = referenced_names(paths)
+    return [(path, line, name) for path in paths
+            for line, name in private_definitions(path) if name not in used]
+
+
+def test_no_unreferenced_private_definitions():
+    files = sorted((ROOT / "src" / "cvdisc").glob("*.py"))
+    assert sum(len(private_definitions(p)) for p in files) >= 30
+    found = [f"{p.relative_to(ROOT)}:{line}: {name}"
+             for p, line, name in unreferenced_private_definitions(files)]
+    assert not found, "private definitions nothing references:\n" + "\n".join(found)
+
+
+def test_detects_an_unreferenced_private_definition(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("import math\n__all__ = ['solve']\n_LEVEL = 1e-9\n_SPARE: float = 2.0\n"
+                      "class _Record:\n    pass\n"
+                      "def _branch_q(theta):\n    return math.cos(theta)\n"
+                      "def _any_beyond_6_sigma(z):\n    return (abs(z) > 6).any()\n"
+                      "def _rule(z):\n    return z > _LEVEL\n"
+                      "def solve(x):\n    return _rule(x) and sample._Record\n")
+    assert unreferenced_private_definitions([module]) == [
+        (module, 4, "_SPARE"), (module, 7, "_branch_q"), (module, 9, "_any_beyond_6_sigma")]
 
 
 def unused_parameters(path):
