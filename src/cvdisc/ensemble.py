@@ -6,16 +6,15 @@ through the mean photon number alpha^2. This module computes the exact
 finite-sum decomposition of the alphabet: the amplitude coefficients c_j over
 the symmetric orthonormal basis together with the separation success
 probability and failure profile they fix, and the Fock-space amplitudes of
-the basis vectors.
+|alpha> split by residue class.
 
 Everything here needs numpy alone. The coefficients and the Fock route share
 one construction: Poisson weights p_k = e^(-alpha^2) alpha^(2k) / k! as
 running products outward from the mode floor(alpha^2), in np.longdouble. The
-coefficients fold them mod N; basis_amplitudes takes the amplitudes
-<k|phi_j> = sqrt(p_k) / c_j from them and the tails P(X > m) as their suffix
-sums, smallest term first. Where np.longdouble is a plain double, a weight
-loses about |k - mode| ulp, no worse than the log-space route through
-lgamma.
+coefficients fold them mod N; basis_amplitudes puts sqrt(p_k) on row k mod N
+and takes the tails P(X > m) as their suffix sums, smallest term first.
+Where np.longdouble is a plain double, a weight loses about |k - mode| ulp,
+no worse than the log-space route through lgamma.
 """
 
 from __future__ import annotations
@@ -45,6 +44,8 @@ MAX_N_STATES = 2 ** 22
 # coefficient_grid works in blocks of at most this many entries per array, so
 # its memory is bounded whatever the grid length, N or alpha^2.
 GRID_BLOCK = 2 ** 16
+# alpha_sq values that float() converts but that are not real numbers.
+_NOT_REAL = (bool, np.bool_, str, bytes)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -73,7 +74,7 @@ class EnsembleSpec:
             raise DomainError(f"n_states must be >= 2, got {self.n_states}")
         if self.n_states > MAX_N_STATES:
             raise DomainError(f"n_states must be <= {MAX_N_STATES}, got {self.n_states}")
-        if isinstance(self.alpha_sq, (bool, np.bool_)):
+        if isinstance(self.alpha_sq, _NOT_REAL):
             raise DomainError(f"alpha_sq must be a real number, got {self.alpha_sq!r}")
         try:
             a2 = float(self.alpha_sq)
@@ -144,9 +145,7 @@ class CoefficientProfile:
     N); multiplicity counts the entries whose c_sq lies within the
     degeneracy band of c_min**2 (degenerate_mask marks them). degenerate is
     set when exactly one c_sq is nonzero (all states coincide: the vacuum
-    alphabet); near_band_edge warns that some gap sits within a factor of 10
-    of the degeneracy band, where the multiplicity count is
-    resolution-limited.
+    alphabet).
 
     p_s = N * c_min^2 is the optimal unambiguous success probability,
     clamped at 1 (rounding lifts it above on rows that separate fully). b is
@@ -198,21 +197,14 @@ class CoefficientProfile:
             fields = {k: v if type(v) is bool else float(v) for k, v in fields.items()}
         return record(**fields)
 
-    @property
-    def near_band_edge(self):
-        c_min_sq = self.c_sq.min(axis=-1, keepdims=True)
-        band = DEGENERACY_TOL * np.maximum(c_min_sq, 1e-300)
-        gaps = self.c_sq - c_min_sq
-        return ((gaps >= band / 10.0) & (gaps <= band * 10.0)).any(axis=-1)
-
 
 @dataclass(frozen=True)
 class BasisAmplitudes:
-    """Fock-space amplitudes of the symmetric basis vectors.
+    """Fock-space amplitudes of |alpha>, one row per residue class mod N.
 
-    Row j of amps holds <n|phi_j> for n = 0..cutoff; the amplitude vanishes
-    unless n = j (mod N). tail_mass bounds the Poisson weight discarded by
-    the truncation.
+    Row j of amps holds sqrt(p_n) for n = 0..cutoff, n = j (mod N), and
+    zeros: c_j |phi_j> less its class's tail, so |alpha w^m> = sum_j w^(mj)
+    row_j. tail_mass bounds the Poisson weight discarded by the truncation.
     """
 
     cutoff: int
@@ -257,7 +249,13 @@ def coefficient_grid(n: int, alpha_sq) -> Iterator[CoefficientProfile]:
     folded in one pass.
     """
     n = EnsembleSpec(n, 0.0).n_states     # checks N as every point would
-    a2 = np.asarray(alpha_sq, dtype=float)
+    cells = alpha_sq if isinstance(alpha_sq, np.ndarray) else np.array(alpha_sq, dtype=object)
+    if cells.dtype.kind in "bOSU":
+        values = cells.ravel().tolist()
+        # float() takes the bools and text that EnsembleSpec rejects.
+        if any(issubclass(kind, _NOT_REAL) for kind in set(map(type, values))):
+            EnsembleSpec(n, next(v for v in values if isinstance(v, _NOT_REAL)))
+    a2 = np.asarray(cells, dtype=float)
     if a2.ndim != 1:
         raise DomainError(f"alpha_sq must be a 1-D array, got shape {a2.shape}")
     bad = ~((a2 >= 0.0) & (a2 <= MAX_ALPHA_SQ))
@@ -362,11 +360,10 @@ def _failure_spectrum(b: np.ndarray) -> np.ndarray:
 
 
 def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
-    """Fock amplitudes <k|phi_j> = sqrt(p_k) / c_j on the ladder k = j + p*N,
-    where p_k = e^(-alpha^2) alpha^(2k) / k! is the Poisson weight of the
-    coherent states: |alpha w^m> = sum_j c_j w^(mj) |phi_j> puts the
-    amplitude e^(-alpha^2/2) alpha^k / sqrt(k!) = c_j <k|phi_j> on |k>. A row
-    whose c_j underflows to 0 stays zero.
+    """Fock amplitudes sqrt(p_k) on the ladder k = j + p*N of row j, where
+    p_k = e^(-alpha^2) alpha^(2k) / k! is the Poisson weight of the coherent
+    states: |alpha w^m> puts e^(-alpha^2/2) alpha^k w^(mk) / sqrt(k!) =
+    w^(mj) sqrt(p_k) on |k>. Nothing is read from the coefficients.
 
     The cutoff is the smallest n_max >= N-1 whose Poisson tail mass
     P(X > n_max) is below tail_eps, which must lie in (0, 1e-6], capped at
@@ -393,14 +390,9 @@ def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
                              f"at alpha_sq={a2}")
     n_max, p, tail_mass = ladder
 
-    # Every k in one pass, on row k mod N; dividing by inf keeps a row whose
-    # c_j is 0 at zero.
-    c = coefficients(spec).c
-    c = np.where(c > 0.0, c, np.inf)
     ks = np.arange(n_max + 1)
-    rows = ks % n
     amps = np.zeros((n, n_max + 1))
-    amps[rows, ks] = np.sqrt(p[:n_max + 1]) / c[rows]
+    amps[ks % n, ks] = np.sqrt(p[:n_max + 1])
     return BasisAmplitudes(cutoff=n_max, amps=_frozen(amps), tail_mass=tail_mass)
 
 

@@ -9,16 +9,18 @@ element as its vector, re-derives all probabilities as tr(Pi rho) =
 |<v|psi>|^2, and certifies minimum-error optimality through the standard
 Helstrom conditions (Gamma = (1/N) * sum_k Pi_k rho_k Hermitian and
 Gamma - rho_k/N positive semidefinite). The separation model itself is not
-rebuilt: build_workspace takes the coefficients and the failure profile b
-from one ensemble.coefficients record, and forms the separation Kraus
-diagonals from its c and c_min. Agreement between the two paths therefore
-checks the assembly, the trace-derived probabilities and the Helstrom
-certificates against the closed forms in discrim, not the choice of
-separation. The Gram route checks that: gram_probabilities derives every
-report field from the eigenvalues of the overlap matrix gram alone, reading
-nothing from the kernel. In the Fock basis the measurement acts on the
-truncated basis rows normalised to unit length, an exact POVM on their span,
-so truncation reaches the probabilities only through the states.
+rebuilt: build_workspace reads c, c_min, degenerate_mask, degenerate, p_s and
+full_separation from one ensemble.coefficients record, and not its failure
+profile b. It forms the separation Kraus diagonals from c and c_min, and the
+failure states as the failure Kraus image of the inputs over sqrt(1 - p_s).
+Agreement between the two paths therefore checks the assembly, the
+trace-derived probabilities and the Helstrom certificates against the closed
+forms in discrim, not the choice of separation. The Gram route checks that:
+gram_probabilities derives every report field from the eigenvalues of the
+overlap matrix gram alone, reading nothing from the kernel. Both bases share
+one assembly on N orthogonal rows, diag(c) or the Fock ladder of |alpha>; the
+measurement acts on the rows normalised to unit length, an exact POVM on
+their span, so truncation reaches the probabilities only through the states.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class MatrixWorkspace:
     = A^dagger u_k taken from success_vectors / failure_vectors, A being the
     success or failure Kraus operator of the separation. These vectors lie on
     the basis rows normalised to unit length, and span_projector projects
-    onto their span (the identity when the basis is 'phi').
+    onto their span (in the basis 'phi', the identity on the j whose c_j is
+    nonzero).
     """
 
     basis: str
@@ -88,12 +91,13 @@ def build_workspace(spec: EnsembleSpec,
                     tail_eps: float = TAIL_EPS) -> MatrixWorkspace:
     """Assemble all states and measurement vectors and check completeness.
 
-    basis 'phi' works in the N-dimensional symmetric basis (exact, fast);
-    basis 'fock' reconstructs everything in a truncated Fock space whose
-    cutoff is controlled by tail_eps. The states lie on the rows that
-    basis_amplitudes returns; the measurement acts on those rows
-    normalised to unit length (a zero row stays zero), through the N
-    coordinates of each vector, so the chain is an exact POVM on their span.
+    basis 'phi' works in the N-dimensional symmetric basis on the rows
+    diag(c) (exact, fast); basis 'fock' reconstructs everything in a
+    truncated Fock space whose cutoff is controlled by tail_eps, on the rows
+    that basis_amplitudes returns. Every state and measurement vector is its
+    N coordinates on those rows normalised to unit length (a zero row stays
+    zero), all five families from one stacked product, so the chain is an
+    exact POVM on their span.
     Construction raises CertificationFailure if either completeness
     relation misses the span projector by more than 1e-10.
     Every element is |v><v| for a stored vector v, so it is positive
@@ -106,35 +110,32 @@ def build_workspace(spec: EnsembleSpec,
     if n > VERIFY_N_CAP:
         raise DomainError(f"n_states {n} exceeds cap {VERIFY_N_CAP}")
     profile = coefficients(spec)
-    kraus = _kraus_diagonals(profile)         # raises DegenerateEnsemble on vacuum
+    a_s, a_f = _kraus_diagonals(profile)      # raises DegenerateEnsemble on vacuum
     failure_profile(profile)                  # raises FullSeparation when empty
 
     if basis == "phi":
-        phi_rows = unit_rows = np.eye(n, dtype=complex)
+        rows = np.diag(profile.c)
         tail_mass = 0.0
     else:
         amp = basis_amplitudes(spec, tail_eps)
-        phi_rows = amp.amps.astype(complex)
-        tail_mass = amp.tail_mass
-        # Rows of underflowed coefficients are zero and span nothing.
-        norms = np.linalg.norm(amp.amps, axis=1)
-        unit_rows = phi_rows / np.where(norms > 0.0, norms, 1.0)[:, None]
+        rows, tail_mass = amp.amps, amp.tail_mass
+    # Rows whose norm underflows to 0 stay unscaled, too small to span anything.
+    norms = np.linalg.norm(rows, axis=1)
+    unit_rows = rows / np.where(norms > 0.0, norms, 1.0)[:, None]
 
+    # On the unit rows e_j, alpha_k has coordinates w^(kj) |row_j| and u_k
+    # w^(kj)/sqrt(N); A = sum_j diag_j |e_j><e_j| scales coordinate j, so
+    # A_f alpha_k and A^dagger u_k are rows of one stacked product.
+    scales = np.array((norms, a_f * norms / np.sqrt(1.0 - profile.p_s),
+                       np.full(n, n ** -0.5), a_s * n ** -0.5, a_f * n ** -0.5))
     k = np.arange(n)
     phases = np.exp(2j * np.pi * np.outer(k, k) / n)      # w^(k*j)
-    alpha_states, beta_states = _frozen(
-        (phases * np.array((profile.c, profile.b))[:, None, :]) @ phi_rows)
-
-    # On the unit rows e_j, u_k has coordinates w^(kj)/sqrt(N) and A = sum_j
-    # diag_j |e_j><e_j| scales coordinate j, so A^dagger u_k is one row of the
-    # stacked product and no d x d Kraus operator is formed.
-    u_coords = phases * n ** -0.5
-    u_states, success_vectors, failure_vectors = _frozen(
-        (u_coords * np.vstack((np.ones(n), kraus))[:, None, :]) @ unit_rows)
+    alpha_states, beta_states, u_states, success_vectors, failure_vectors = _frozen(
+        (phases * scales[:, None, :]) @ unit_rows)
     span = unit_rows.T @ unit_rows.conj()
 
     ws = MatrixWorkspace(
-        basis=basis, n_states=n, alpha_sq=spec.alpha_sq, dimension=phi_rows.shape[1],
+        basis=basis, n_states=n, alpha_sq=spec.alpha_sq, dimension=rows.shape[1],
         alpha_states=alpha_states, u_states=u_states, beta_states=beta_states,
         success_vectors=success_vectors, failure_vectors=failure_vectors,
         span_projector=_frozen(span), tail_mass=tail_mass,

@@ -14,8 +14,8 @@ the file also holds p_s = N * min_j c_j^2 and confidence_failure =
 At each FOCK_POINTS entry (N, alpha^2, tail_eps) the file holds the Fock
 cutoff, the smallest n_max >= N - 1 with P(X > n_max) < tail_eps for X
 Poisson with mean alpha^2, the tail P(X > n_max) itself, and the amplitudes
-<k|phi_j> = sqrt(p_k) / c_j (j = k mod N, p_k = e^(-a) a^k / k!) at about
-thirty k spread over 0..n_max. The weights p_k run by recurrence from
+sqrt(p_k) (p_k = e^(-a) a^k / k!, on row k mod N) at about thirty k spread
+over 0..n_max. The weights p_k run by recurrence from
 p_0 = e^(-a) until they fall below 1e-700, far under the double range.
 """
 
@@ -70,10 +70,9 @@ def fock(n, alpha_sq, tail_eps):
     mode = int(mpmath.floor(a))
     ks = sorted({*range(0, cutoff + 1, max(1, cutoff // 24)), 1, 2, mode - 1, mode, mode + 1,
                  cutoff - 1, cutoff} & set(range(cutoff + 1)))
-    c = [mpmath.sqrt(v) for v in c_sq(n, alpha_sq)]
     return {"n": n, "alpha_sq": alpha_sq, "tail_eps": tail_eps, "cutoff": cutoff,
             "tail_mass": mpmath.nstr(tails[cutoff], 20),
-            "amplitudes": [[k, mpmath.nstr(mpmath.sqrt(weights[k]) / c[k % n], 20)]
+            "amplitudes": [[k, mpmath.nstr(mpmath.sqrt(weights[k]), 20)]
                            for k in ks]}
 
 

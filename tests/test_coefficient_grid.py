@@ -22,7 +22,7 @@ from cvdisc.ensemble import GRID_BLOCK, MAX_ALPHA_SQ, _fold
 
 # Every field of the record, and every property that has one value per row.
 RECORD_FIELDS = (*(field.name for field in dataclasses.fields(CoefficientProfile)),
-                 "failure_dim", "degenerate", "near_band_edge")
+                 "failure_dim", "degenerate")
 
 
 def grid_values(n):
@@ -129,14 +129,14 @@ def test_grid_p_s_on_a_dense_draw():
 
 def test_grid_flags_at_the_vacuum_and_the_band_edge():
     # grid_values reach no band edge: 6e-8 past the N = 3 kink a c^2 gap
-    # sits within a decade of the degeneracy band, 1e-6 past it not.
+    # sits within a decade of the degeneracy band, 1e-6 past it not, and the
+    # grid must classify both as the one-point path does.
     values = [0.0, KINK_PERIOD, KINK_PERIOD + 6e-8, KINK_PERIOD + 1e-6, 1.0]
     (block,) = coefficient_grid(3, values)
     assert block.degenerate.tolist() == [True, False, False, False, False]
-    assert block.near_band_edge.tolist() == [False, False, True, False, False]
     for r, a2 in enumerate(values):
         profile = coefficients(EnsembleSpec(3, a2))
-        for field in ("degenerate", "near_band_edge", "failure_dim"):
+        for field in ("degenerate", "failure_dim"):
             assert getattr(block, field)[r] == getattr(profile, field), (a2, field)
 
 
@@ -164,7 +164,7 @@ def test_empty_grid_yields_nothing():
 
 
 @pytest.mark.parametrize("values", [[1.0, -0.5], [np.nan], [np.inf], [MAX_ALPHA_SQ * 2],
-                                    [[1.0, 2.0]]])
+                                    [[1.0, 2.0]], [True], [np.True_], ["1.0"]])
 def test_grid_rejects_values_spec_rejects(values):
     with pytest.raises(DomainError):
         next(coefficient_grid(3, values))

@@ -62,7 +62,7 @@ def test_spec_n_cap_is_inclusive():
 
 
 @pytest.mark.parametrize("alpha_sq", [-1.0, -1e-12, math.inf, math.nan, "x", 1.0000001e8,
-                                      True, np.True_])
+                                      True, np.True_, "1.5", b"2"])
 def test_spec_rejects_bad_alpha_sq(alpha_sq):
     with pytest.raises(DomainError):
         EnsembleSpec(3, alpha_sq)
@@ -139,14 +139,6 @@ def test_degeneracy_at_kink():
     assert profile.multiplicity == 2
     assert profile.degenerate_mask.sum() == 2
     assert not profile.degenerate
-    assert not profile.near_band_edge
-
-
-def test_near_band_edge_flag():
-    # 6e-8 past the kink the c^2 gap sits within a decade of the band edge.
-    assert coefficients(EnsembleSpec(3, KINK_PERIOD + 6e-8)).near_band_edge
-    assert not coefficients(EnsembleSpec(3, KINK_PERIOD + 1e-6)).near_band_edge
-    assert not coefficients(EnsembleSpec(3, 1.0)).near_band_edge
 
 
 def test_small_amplitude_entry_is_resolved():
@@ -313,21 +305,31 @@ def test_basis_selection_rule():
         assert not off.any()
 
 
-def test_basis_orthonormality():
-    amp = basis_amplitudes(EnsembleSpec(3, 1.0), 1e-14)
+@pytest.mark.parametrize("n,alpha_sq", [(3, 1.0), (4, 2.0), (8, 6.0), (64, 30.0)])
+def test_basis_rows_are_orthogonal(n, alpha_sq):
+    # Row j is c_j |phi_j> less its class's tail: orthogonal rows, each no
+    # longer than c_j, together holding all but the truncated weight.
+    spec = EnsembleSpec(n, alpha_sq)
+    amp = basis_amplitudes(spec, 1e-14)
     gram_rows = amp.amps @ amp.amps.T
-    np.testing.assert_allclose(gram_rows, np.eye(3), rtol=0, atol=1e-10)
+    row_sq = np.diag(gram_rows)
+    assert not (gram_rows - np.diag(row_sq)).any()
+    assert np.all(row_sq <= coefficients(spec).c_sq * (1.0 + 4e-16))
+    assert row_sq.sum() == pytest.approx(1.0 - amp.tail_mass, rel=1e-15, abs=0.0)
 
 
 def test_basis_reconstructs_coherent_state():
     n, a2 = 4, 2.0
     amp = basis_amplitudes(EnsembleSpec(n, a2), 1e-14)
-    profile = coefficients(EnsembleSpec(n, a2))
-    rebuilt = profile.c @ amp.amps
     ns = np.arange(amp.cutoff + 1)
     expect = np.exp(-a2 / 2 + ns * math.log(a2) / 2
                     - special.gammaln(ns + 1) / 2)
-    np.testing.assert_allclose(rebuilt, expect, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(amp.amps.sum(axis=0), expect, rtol=1e-14, atol=0.0)
+    # |alpha w^m> = sum_j w^(mj) row_j puts w^(mk) on |k>.
+    w = np.exp(2j * np.pi / n)
+    for m in range(n):
+        np.testing.assert_allclose(w ** (m * np.arange(n)) @ amp.amps, w ** (m * ns) * expect,
+                                   rtol=1e-13, atol=0.0)
 
 
 def test_basis_vacuum():
@@ -370,11 +372,10 @@ def test_fock_cap_is_fixed():
 def full_scan_basis(spec, tail_eps):
     """Reference for basis_amplitudes in scipy's log space: one gammainc pass
     over every candidate cutoff N-1..FOCK_CAP, first hit, then the
-    amplitudes <k|phi_j> = exp(-alpha^2/2) alpha^k / (c_j sqrt(k!)) computed
-    one row j at a time on its ladder k = j + p*N. Returns the cutoff, the
-    tail and the amplitudes on the ladder, ladder[k] = <k|phi_(k mod N)>."""
+    amplitudes exp(-alpha^2/2) alpha^k / sqrt(k!) computed one row j at a
+    time on its ladder k = j + p*N. Returns the cutoff, the tail and the
+    amplitudes on the ladder, ladder[k] = amps[k mod N, k]."""
     n, a2 = spec.n_states, spec.alpha_sq
-    c = coefficients(spec).c
     candidates = np.arange(n - 1, FOCK_CAP + 1)
     tails = special.gammainc(candidates + 1.0, a2) if a2 > 0 else np.zeros(candidates.size)
     below = np.nonzero(tails < tail_eps)[0]
@@ -385,13 +386,10 @@ def full_scan_basis(spec, tail_eps):
     log_alpha = 0.5 * math.log(a2) if a2 > 0 else -math.inf
     ladder = np.zeros(n_max + 1)
     for j in range(n):
-        if c[j] == 0.0:
-            continue
         ks = np.arange(j, n_max + 1, n)
         with np.errstate(invalid="ignore"):
             log_pow = np.where(ks == 0, 0.0, ks * log_alpha)
-        ladder[ks] = np.exp(-0.5 * a2 + log_pow - 0.5 * special.gammaln(ks + 1.0)
-                            - math.log(c[j]))
+        ladder[ks] = np.exp(-0.5 * a2 + log_pow - 0.5 * special.gammaln(ks + 1.0))
     return n_max, float(tails[below[0]]), ladder
 
 
@@ -434,7 +432,8 @@ def test_cutoff_search_matches_full_scan(n, alpha_sq, tail_eps):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 16, 32, 128])
 def test_amplitudes_match_the_row_loop(n, alpha_sq):
     # At the default tail target, where verify builds its Fock workspaces;
-    # tiny alpha^2 at large N leaves rows whose c_j underflows to 0.
+    # tiny alpha^2 at large N leaves rows whose squared norm, like c_j^2,
+    # underflows to 0.
     assert assert_matches_full_scan(n, alpha_sq, TAIL_EPS) is not None
 
 

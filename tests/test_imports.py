@@ -3,7 +3,8 @@ every module-level private definition in src/cvdisc is referenced there,
 every parameter of a function in src/cvdisc is read, cvdisc.__all__ is
 exactly what the package imports, no cvdisc module imports a sibling's
 private name but _frozen, the oracle's Gram route reads nothing from the
-kernel, and no command loads scipy."""
+kernel, the Fock rows call no coefficient routine, the workspace reads no
+failure profile, and no command loads scipy."""
 
 import ast
 import importlib.util
@@ -297,3 +298,50 @@ def test_detects_a_kernel_name_in_the_gram_route(tmp_path):
                       "def gram_probabilities(spec: EnsembleSpec):\n"
                       "    return discrim.ir_report(spec)\n")
     assert kernel_names(module) == [(4, "coefficients"), (6, "discrim")]
+
+
+# The Fock rows are the Poisson ladder: basis_amplitudes may call none of
+# the kernel's coefficient routines. The workspace forms the failure states
+# as the Kraus image of the inputs: build_workspace reads neither the
+# kernel's failure profile nor its spectrum.
+KERNEL_ROUTINES = {"coefficients", "coefficient_grid", "_fold", "_fold_runs", "_classify"}
+FAILURE_PROFILE_FIELDS = {"b", "spectrum"}
+
+
+def references(path, function, names):
+    """(line, name) of every name in names that the body of the module's
+    top-level function references, as a variable or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name in names:
+                    found.append((sub.lineno, name))
+    return sorted(found)
+
+
+def test_fock_rows_read_nothing_from_the_kernel():
+    assert references(ROOT / "src" / "cvdisc" / "ensemble.py", "basis_amplitudes",
+                      KERNEL_ROUTINES) == []
+
+
+def test_workspace_reads_no_failure_profile():
+    assert references(ROOT / "src" / "cvdisc" / "oracle.py", "build_workspace",
+                      FAILURE_PROFILE_FIELDS) == []
+
+
+def test_detects_kernel_reads_in_the_fock_rows_and_the_workspace(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("def basis_amplitudes(spec, tail_eps):\n"
+                      "    c = coefficients(spec).c\n"
+                      "    return ensemble._fold(spec.alpha_sq, 3, 0) / c\n"
+                      "def build_workspace(spec):\n"
+                      "    profile = coefficients(spec)\n"
+                      "    return profile.b, profile.spectrum\n"
+                      "def gram(spec):\n    return coefficients(spec).b\n")
+    assert references(module, "basis_amplitudes", KERNEL_ROUTINES) == [
+        (2, "coefficients"), (3, "_fold")]
+    assert references(module, "build_workspace", FAILURE_PROFILE_FIELDS) == [
+        (6, "b"), (6, "spectrum")]
