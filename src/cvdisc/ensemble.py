@@ -44,8 +44,17 @@ MAX_N_STATES = 2 ** 22
 # coefficient_grid works in blocks of at most this many entries per array, so
 # its memory is bounded whatever the grid length, N or alpha^2.
 GRID_BLOCK = 2 ** 16
-# alpha_sq values that float() converts but that are not real numbers.
-_NOT_REAL = (bool, np.bool_, str, bytes)
+
+
+def _real(value) -> float:
+    """float(value) for a real number, else DomainError."""
+    # float() would take these, numpy complex scalars as their real part.
+    if not isinstance(value, (bool, np.bool_, str, bytes, np.complexfloating)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"alpha_sq must be a real number, got {value!r}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -74,12 +83,7 @@ class EnsembleSpec:
             raise DomainError(f"n_states must be >= 2, got {self.n_states}")
         if self.n_states > MAX_N_STATES:
             raise DomainError(f"n_states must be <= {MAX_N_STATES}, got {self.n_states}")
-        if isinstance(self.alpha_sq, _NOT_REAL):
-            raise DomainError(f"alpha_sq must be a real number, got {self.alpha_sq!r}")
-        try:
-            a2 = float(self.alpha_sq)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"alpha_sq must be a real number, got {self.alpha_sq!r}") from exc
+        a2 = _real(self.alpha_sq)
         if not math.isfinite(a2) or a2 < 0.0:
             raise DomainError(f"alpha_sq must be finite and >= 0, got {a2}")
         if a2 > MAX_ALPHA_SQ:
@@ -250,11 +254,8 @@ def coefficient_grid(n: int, alpha_sq) -> Iterator[CoefficientProfile]:
     """
     n = EnsembleSpec(n, 0.0).n_states     # checks N as every point would
     cells = alpha_sq if isinstance(alpha_sq, np.ndarray) else np.array(alpha_sq, dtype=object)
-    if cells.dtype.kind in "bOSU":
-        values = cells.ravel().tolist()
-        # float() takes the bools and text that EnsembleSpec rejects.
-        if any(issubclass(kind, _NOT_REAL) for kind in set(map(type, values))):
-            EnsembleSpec(n, next(v for v in values if isinstance(v, _NOT_REAL)))
+    if cells.dtype.kind in "bcOSU":
+        cells = np.array([_real(v) for v in cells.ravel().tolist()]).reshape(cells.shape)
     a2 = np.asarray(cells, dtype=float)
     if a2.ndim != 1:
         raise DomainError(f"alpha_sq must be a 1-D array, got shape {a2.shape}")

@@ -20,7 +20,8 @@ gram_probabilities derives every report field from the eigenvalues of the
 overlap matrix gram alone, reading nothing from the kernel. Both bases share
 one assembly on N orthogonal rows, diag(c) or the Fock ladder of |alpha>; the
 measurement acts on the rows normalised to unit length, an exact POVM on
-their span, so truncation reaches the probabilities only through the states.
+their span checked on the N coordinates, so truncation reaches the
+probabilities only through the states.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ EIGENVALUE_TOL = 1e-9
 _COMPLETENESS_TOL = 1e-10
 # Largest N accepted by build_workspace: verify runs within 1 GiB of address
 # space up to it, in about a minute at the cap, where its 2N eigvalsh calls
-# on d x d matrices (d >= N) dominate.
+# on N x N matrices dominate (verify certifies the phi workspace only).
 VERIFY_N_CAP = 2 ** 9
 
 
@@ -54,9 +55,7 @@ class MatrixWorkspace:
     u_states[k], and the two-stage chain's elements are |v_k><v_k| with v_k
     = A^dagger u_k taken from success_vectors / failure_vectors, A being the
     success or failure Kraus operator of the separation. These vectors lie on
-    the basis rows normalised to unit length, and span_projector projects
-    onto their span (in the basis 'phi', the identity on the j whose c_j is
-    nonzero).
+    the basis rows normalised to unit length.
     """
 
     basis: str
@@ -68,7 +67,6 @@ class MatrixWorkspace:
     beta_states: np.ndarray
     success_vectors: np.ndarray
     failure_vectors: np.ndarray
-    span_projector: np.ndarray
     tail_mass: float
 
 
@@ -99,7 +97,8 @@ def build_workspace(spec: EnsembleSpec,
     zero), all five families from one stacked product, so the chain is an
     exact POVM on their span.
     Construction raises CertificationFailure if either completeness
-    relation misses the span projector by more than 1e-10.
+    relation, checked on the N x N coordinates of the nonzero rows, misses
+    the identity by more than 1e-10.
     Every element is |v><v| for a stored vector v, so it is positive
     semidefinite by construction. N above VERIFY_N_CAP raises DomainError
     before anything is built.
@@ -121,7 +120,8 @@ def build_workspace(spec: EnsembleSpec,
         rows, tail_mass = amp.amps, amp.tail_mass
     # Rows whose norm underflows to 0 stay unscaled, too small to span anything.
     norms = np.linalg.norm(rows, axis=1)
-    unit_rows = rows / np.where(norms > 0.0, norms, 1.0)[:, None]
+    live = norms > 0.0
+    unit_rows = rows / np.where(live, norms, 1.0)[:, None]
 
     # On the unit rows e_j, alpha_k has coordinates w^(kj) |row_j| and u_k
     # w^(kj)/sqrt(N); A = sum_j diag_j |e_j><e_j| scales coordinate j, so
@@ -130,18 +130,16 @@ def build_workspace(spec: EnsembleSpec,
                        np.full(n, n ** -0.5), a_s * n ** -0.5, a_f * n ** -0.5))
     k = np.arange(n)
     phases = np.exp(2j * np.pi * np.outer(k, k) / n)      # w^(k*j)
+    coords = phases * scales[:, None, :]
+    _check_completeness(coords[2:].compress(live, axis=2))
     alpha_states, beta_states, u_states, success_vectors, failure_vectors = _frozen(
-        (phases * scales[:, None, :]) @ unit_rows)
-    span = unit_rows.T @ unit_rows.conj()
-
-    ws = MatrixWorkspace(
+        coords @ unit_rows)
+    return MatrixWorkspace(
         basis=basis, n_states=n, alpha_sq=spec.alpha_sq, dimension=rows.shape[1],
         alpha_states=alpha_states, u_states=u_states, beta_states=beta_states,
         success_vectors=success_vectors, failure_vectors=failure_vectors,
-        span_projector=_frozen(span), tail_mass=tail_mass,
+        tail_mass=tail_mass,
     )
-    _check_construction(ws)
-    return ws
 
 
 def _kraus_diagonals(profile: CoefficientProfile) -> np.ndarray:
@@ -162,17 +160,16 @@ def _kraus_diagonals(profile: CoefficientProfile) -> np.ndarray:
     return np.array((a_s, a_f))
 
 
-def _check_construction(ws: MatrixWorkspace) -> None:
-    # Each element sum sum_k |v_k><v_k| is v.T @ v.conj(); one d x d
-    # residual is held at a time, reduced in place.
-    residual = ws.u_states.T @ ws.u_states.conj()
-    residual -= ws.span_projector
-    if float(np.max(np.abs(residual))) > _COMPLETENESS_TOL:
+def _check_completeness(coords: np.ndarray) -> None:
+    # coords stacks the (u, success, failure) coordinates C on the nonzero
+    # unit rows U, which are orthonormal. Each element sum V.T @ V.conj()
+    # of V = C @ U then misses the span projector U.T @ U.conj() by the
+    # N x N residual C.T @ C.conj() - 1 carried through the rows.
+    u, s, f = coords
+    eye = np.eye(u.shape[1])
+    if float(np.max(np.abs(u.T @ u.conj() - eye))) > _COMPLETENESS_TOL:
         raise CertificationFailure("minimum-error projectors do not resolve the span")
-    residual = ws.success_vectors.T @ ws.success_vectors.conj()
-    residual += ws.failure_vectors.T @ ws.failure_vectors.conj()
-    residual -= ws.span_projector
-    if float(np.max(np.abs(residual))) > _COMPLETENESS_TOL:
+    if float(np.max(np.abs(s.T @ s.conj() + f.T @ f.conj() - eye))) > _COMPLETENESS_TOL:
         raise CertificationFailure("two-stage POVM does not resolve the span")
 
 

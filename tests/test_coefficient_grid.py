@@ -163,10 +163,16 @@ def test_empty_grid_yields_nothing():
     assert list(coefficient_grid(3, [])) == []
 
 
+NOT_NUMBERS = [[True], [np.True_], ["1.0"], [1 + 2j], [object()], [[1.0], 2.0], [None],
+               np.array([1.0 + 0j])]
+
+
 @pytest.mark.parametrize("values", [[1.0, -0.5], [np.nan], [np.inf], [MAX_ALPHA_SQ * 2],
-                                    [[1.0, 2.0]], [True], [np.True_], ["1.0"]])
+                                    [[1.0, 2.0]], *NOT_NUMBERS])
 def test_grid_rejects_values_spec_rejects(values):
-    with pytest.raises(DomainError):
+    # A cell that is not a number is named as one, as EnsembleSpec names it.
+    match = "^alpha_sq must be a real number" if any(values is v for v in NOT_NUMBERS) else None
+    with pytest.raises(DomainError, match=match):
         next(coefficient_grid(3, values))
 
 

@@ -62,7 +62,7 @@ def test_spec_n_cap_is_inclusive():
 
 
 @pytest.mark.parametrize("alpha_sq", [-1.0, -1e-12, math.inf, math.nan, "x", 1.0000001e8,
-                                      True, np.True_, "1.5", b"2"])
+                                      True, np.True_, "1.5", b"2", np.complex128(1.0)])
 def test_spec_rejects_bad_alpha_sq(alpha_sq):
     with pytest.raises(DomainError):
         EnsembleSpec(3, alpha_sq)
@@ -305,7 +305,7 @@ def test_basis_selection_rule():
         assert not off.any()
 
 
-@pytest.mark.parametrize("n,alpha_sq", [(3, 1.0), (4, 2.0), (8, 6.0), (64, 30.0)])
+@pytest.mark.parametrize("n,alpha_sq", [(3, 1.0), (4, 1.0), (4, 2.0), (8, 6.0), (64, 30.0)])
 def test_basis_rows_are_orthogonal(n, alpha_sq):
     # Row j is c_j |phi_j> less its class's tail: orthogonal rows, each no
     # longer than c_j, together holding all but the truncated weight.
