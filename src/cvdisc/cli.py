@@ -10,10 +10,13 @@ its spec, sweep of each block of one coefficient_grid call over its whole
 alpha^2 grid, one format string per CSV row. mc takes its table's columns and
 its 6 sigma flag as arrays from the sampled joint record, GRID_BLOCK cells at
 a time, and formats each row with one format string too; its counts CSV walks
-the same blocks.
+the same blocks. One printer, _print_fields, writes every name = value block:
+report's, n3's and mc's summary.
 
-The argparse parser is built once per process, on the first main call, and
-reused: parsing does not change it.
+The argparse parser is the one list of subcommands: each subparser holds its
+handler, a cmd_* function of the parsed namespace, which main calls. The
+parser is built once per process, on the first main call, and reused:
+parsing does not change it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,33 +68,18 @@ _REPORT_LINES = ("n_states", "alpha_sq", *_REPORT_FIELDS, "i_ud", "i_ir", "gain"
                  "h_fail", "failure_dim", "full_separation")
 _N3_LINES = ("alpha_sq", "berry_phase", "root_1", "root_2", "root_3", "selected_branch",
              "p_s", "q_tilde", "kink_below", "kink_above")
-
-
-@dataclass(frozen=True)
-class SweepRequest:
-    """Uniform alpha^2 grid request for CSV emission."""
-
-    n_states: int
-    alpha_sq_min: float
-    alpha_sq_max: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        # Every grid point lies between the bounds, so checking both checks
-        # the grid before any point is computed.
-        EnsembleSpec(self.n_states, self.alpha_sq_min)
-        EnsembleSpec(self.n_states, self.alpha_sq_max)
-        if not self.alpha_sq_max > self.alpha_sq_min:
-            raise DomainError("alpha2-max must exceed alpha2-min")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
-            raise DomainError(f"steps must be an integer, got {self.steps!r}")
-        if not 2 <= self.steps <= STEPS_CAP:
-            raise DomainError(f"steps must be in [2, {STEPS_CAP}], got {self.steps}")
+_MC_LINES = ("empirical_p_s", "analytic_p_s", "empirical_confidence_failure",
+             "analytic_confidence_failure", "max_abs_z", "rng_algorithm")
 
 
 def _g(x: float | int | str) -> str:
     """An integer, flag or word as it is; any other figure to 12 digits."""
     return str(x) if isinstance(x, (int, str)) else f"{x:.12g}"
+
+
+def _print_fields(values: dict, names: Iterable[str], width: int) -> None:
+    """Print one "name = value" line per name, the name padded to width."""
+    print("\n".join(f"{name:<{width}}= {_g(values[name])}" for name in names))
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
@@ -122,24 +109,37 @@ def _values(profile: CoefficientProfile) -> dict:
             "alpha_sq": profile.alpha_sq, "failure_dim": profile.failure_dim}
 
 
-def cmd_report(n: int, alpha_sq: float) -> int:
-    values = {"n_states": n, **_values(coefficients(EnsembleSpec(n, alpha_sq)))}
-    print("\n".join(f"{name:<20}= {_g(values[name])}" for name in _REPORT_LINES))
+def cmd_report(args: argparse.Namespace) -> int:
+    values = {"n_states": args.n, **_values(coefficients(EnsembleSpec(args.n, args.alpha2)))}
+    _print_fields(values, _REPORT_LINES, 20)
     return EXIT_OK
 
 
-def _sweep_chunks(request: SweepRequest) -> Iterator[str]:
+def _sweep_grid(n: int, lo: float, hi: float, steps: int) -> np.ndarray:
+    """The uniform alpha^2 grid of a sweep, checked before any point is
+    computed: every grid point lies between the bounds, so checking both
+    checks the grid."""
+    EnsembleSpec(n, lo)
+    EnsembleSpec(n, hi)
+    if not hi > lo:
+        raise DomainError("alpha2-max must exceed alpha2-min")
+    if not 2 <= steps <= STEPS_CAP:
+        raise DomainError(f"steps must be in [2, {STEPS_CAP}], got {steps}")
+    return np.linspace(lo, hi, steps)
+
+
+def _sweep_chunks(n: int, grid: np.ndarray) -> Iterator[str]:
     """The sweep CSV: the header, then the rows of one grid block at a time."""
     yield CSV_HEADER + "\n"
-    grid = np.linspace(request.alpha_sq_min, request.alpha_sq_max, request.steps)
-    for block in coefficient_grid(request.n_states, grid):
+    for block in coefficient_grid(n, grid):
         values = _values(block)
         columns = [values[name].tolist() for name in _CSV_COLUMNS]
         yield "".join(_CSV_ROW % row for row in zip(*columns))
 
 
-def cmd_sweep(request: SweepRequest, out_path: str) -> int:
-    _atomic_write(out_path, _sweep_chunks(request))
+def cmd_sweep(args: argparse.Namespace) -> int:
+    grid = _sweep_grid(args.n, args.alpha2_min, args.alpha2_max, args.steps)
+    _atomic_write(args.out, _sweep_chunks(args.n, grid))
     return EXIT_OK
 
 
@@ -203,52 +203,49 @@ def _mc_table(result: montecarlo.MCResult) -> tuple[float, bool]:
     return worst_z, flagged
 
 
-def cmd_mc(n: int, alpha_sq: float, shots: int, seed: int,
-           out_path: str | None) -> int:
-    spec = EnsembleSpec(n, alpha_sq)
-    config = montecarlo.MCConfig(spec=spec, shots=shots, seed=seed)
+def cmd_mc(args: argparse.Namespace) -> int:
+    spec = EnsembleSpec(args.n, args.alpha2)
+    config = montecarlo.MCConfig(spec=spec, shots=args.shots, seed=args.seed)
     result = montecarlo.simulate(config)
     rep = discrim.ir_report(spec)
 
     worst_z, flagged = _mc_table(result)
-    print(f"empirical_p_s                = {_g(result.empirical_p_s)}")
-    print(f"analytic_p_s                 = {_g(rep.p_s)}")
-    print(f"empirical_confidence_failure = {_g(result.empirical_confidence_failure)}")
-    print(f"analytic_confidence_failure  = {_g(rep.confidence_failure)}")
-    print(f"max_abs_z                    = {_g(worst_z)}")
-    print(f"rng_algorithm                = {result.rng_algorithm}")
+    _print_fields({**vars(result), "analytic_p_s": rep.p_s,
+                   "analytic_confidence_failure": rep.confidence_failure,
+                   "max_abs_z": worst_z}, _MC_LINES, 29)
 
-    if out_path is not None:
-        _atomic_write(out_path, _count_rows(result.counts))
+    if args.out is not None:
+        _atomic_write(args.out, _count_rows(result.counts))
     if flagged:
         print("statistical flag: a cell deviates beyond 6 sigma", file=sys.stderr)
         return EXIT_STATISTICAL
     return EXIT_OK
 
 
-def cmd_n3(alpha_sq: float) -> int:
-    sol = analytic3.solve_n3(alpha_sq)
+def cmd_n3(args: argparse.Namespace) -> int:
+    sol = analytic3.solve_n3(args.alpha2)
     values = {**vars(sol), **{f"root_{i}": root for i, root in enumerate(sol.roots, 1)},
               "selected_branch": sol.selected, "kink_below": sol.kink_below or "none"}
-    print("\n".join(f"{name:<16}= {_g(values[name])}" for name in _N3_LINES))
+    _print_fields(values, _N3_LINES, 16)
     return EXIT_OK
 
 
-def _fields(report: discrim.DiscriminationReport) -> dict[str, float]:
-    return {name: getattr(report, name) for name in _REPORT_FIELDS}
+def _gap(a: discrim.DiscriminationReport, b: discrim.DiscriminationReport) -> float:
+    """The largest gap between two reports over _REPORT_FIELDS."""
+    return max(abs(getattr(a, name) - getattr(b, name)) for name in _REPORT_FIELDS)
 
 
-def cmd_verify(n: int, alpha_sq_list: list[float], tail_eps: float) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Check every point, then print the result lines: any rejection by
     build_workspace, at any point, exits before the first line."""
-    specs = [EnsembleSpec(n, alpha_sq) for alpha_sq in alpha_sq_list]
+    specs = [EnsembleSpec(args.n, alpha_sq) for alpha_sq in args.alpha2]
     lines = []
 
     def check(label: str, ok: bool, detail: str) -> None:
         lines.append(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
 
     for spec in specs:
-        tag = f"(n={n}, alpha_sq={_g(spec.alpha_sq)})"
+        tag = f"(n={args.n}, alpha_sq={_g(spec.alpha_sq)})"
         ws = oracle.build_workspace(spec, "phi")
 
         for cert in oracle.certify_med_optimality(ws):
@@ -258,15 +255,13 @@ def cmd_verify(n: int, alpha_sq_list: list[float], tail_eps: float) -> int:
 
         closed = discrim.ir_report(spec)
         brute = oracle.brute_force_probabilities(ws)
-        gap = max(abs(a - b) for a, b in zip(_fields(closed).values(),
-                                             _fields(brute).values()))
+        gap = _gap(closed, brute)
         check(f"closed-vs-brute {tag}", gap < 1e-9, f"max field gap {gap:.3e}")
 
-        ws_fock = oracle.build_workspace(spec, "fock", tail_eps=tail_eps)
+        ws_fock = oracle.build_workspace(spec, "fock", tail_eps=args.tail_eps)
         brute_fock = oracle.brute_force_probabilities(ws_fock)
-        tol = max(1e-9, 100.0 * tail_eps)
-        gap = max(abs(a - b) for a, b in zip(_fields(brute).values(),
-                                             _fields(brute_fock).values()))
+        tol = max(1e-9, 100.0 * args.tail_eps)
+        gap = _gap(brute, brute_fock)
         check(f"phi-vs-fock {tag} (cutoff {ws_fock.dimension - 1})",
               gap < tol, f"max field gap {gap:.3e}, tolerance {tol:.1e}")
 
@@ -295,6 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="print all figures of merit for one point")
     rep.add_argument("--n", type=int, required=True)
     rep.add_argument("--alpha2", type=float, required=True)
+    rep.set_defaults(run=cmd_report)
 
     swp = sub.add_parser("sweep", help="write a CSV over a uniform alpha^2 grid")
     swp.add_argument("--n", type=int, required=True)
@@ -302,6 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--alpha2-max", type=float, required=True)
     swp.add_argument("--steps", type=int, required=True)
     swp.add_argument("--out", required=True)
+    swp.set_defaults(run=cmd_sweep)
 
     mc = sub.add_parser("mc", help="run the seeded measurement-chain simulator")
     mc.add_argument("--n", type=int, required=True)
@@ -309,15 +306,18 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--shots", type=int, required=True)
     mc.add_argument("--seed", type=int, required=True)
     mc.add_argument("--out", default=None)
+    mc.set_defaults(run=cmd_mc)
 
     n3 = sub.add_parser("n3", help="closed-form three-state solution at one point")
     n3.add_argument("--alpha2", type=float, required=True)
+    n3.set_defaults(run=cmd_n3)
 
     ver = sub.add_parser("verify", help="run oracle certification checks")
     ver.add_argument("--n", type=int, required=True)
     ver.add_argument("--alpha2", type=_alpha_list, required=True,
                      help="comma-separated alpha^2 values")
     ver.add_argument("--tail-eps", type=float, default=TAIL_EPS)
+    ver.set_defaults(run=cmd_verify)
 
     return parser
 
@@ -330,18 +330,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
 
     try:
-        if args.command == "report":
-            return cmd_report(args.n, args.alpha2)
-        if args.command == "sweep":
-            request = SweepRequest(n_states=args.n, alpha_sq_min=args.alpha2_min,
-                                   alpha_sq_max=args.alpha2_max, steps=args.steps)
-            return cmd_sweep(request, args.out)
-        if args.command == "mc":
-            return cmd_mc(args.n, args.alpha2, args.shots, args.seed, args.out)
-        if args.command == "n3":
-            return cmd_n3(args.alpha2)
-        if args.command == "verify":
-            return cmd_verify(args.n, args.alpha2, args.tail_eps)
+        return args.run(args)
     except CertificationFailure as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
@@ -351,7 +340,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

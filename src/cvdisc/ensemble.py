@@ -374,7 +374,8 @@ def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     coefficients() folds them; the tails are their suffix sums, taken
     smallest term first. The ladder runs _half(0, mode) terms past the
     cutoff, where the terms it drops add less than 2^-64 of the tail at the
-    cutoff (see _poisson_ladder).
+    cutoff. It is built in one pass for tail targets down to ~1e-30, and in
+    at most two below that, the second to FOCK_CAP (see _poisson_ladder).
 
     Where np.longdouble is wider than a double, each p_k is good to a few
     long-double ulp and each amplitude to about one double ulp. Where it is a
@@ -411,15 +412,16 @@ def _poisson_ladder(a2: float, n: int, tail_eps: float) -> tuple[int, np.ndarray
     Tails summed over a ladder that ends at top miss only the weight past
     top, so they may read low, never high: a candidate whose tail reads at
     least tail_eps truly has one. A first hit is kept once the ladder runs
-    the margin past it; until then the ladder grows, from a top that holds
-    the cutoff of every tail target down to ~1e-30.
+    the margin past it. The ladder is built at most twice: first to a top
+    that holds the cutoff of every tail target down to ~1e-30, then, only
+    when that top has no hit with the margin past it, to FOCK_CAP + margin,
+    which holds every cutoff the cap allows.
     """
     mode = math.floor(a2)
-    if mode >= FOCK_CAP:
-        return None    # P(X > FOCK_CAP) is then about 1/2 or more
+    if mode >= FOCK_CAP or n - 1 > FOCK_CAP:
+        return None    # P(X > FOCK_CAP) is then about 1/2 or more, or no cutoff fits
     margin = _half(0, mode)
-    top = max(n - 1, mode + margin) + margin
-    while True:
+    for top in (max(n - 1, mode + margin) + margin, FOCK_CAP + margin):
         weights = _running_products(np.array([a2], np.longdouble), mode, 0, top + 1)
         p = weights / weights.sum()
         tails = np.add.accumulate(p[:0:-1])[::-1].astype(float)   # tails[m] = P(m < X <= top)
@@ -428,8 +430,4 @@ def _poisson_ladder(a2: float, n: int, tail_eps: float) -> tuple[int, np.ndarray
             n_max = n - 1 + int(hits[0])
             if top >= n_max + margin:
                 return n_max, p, float(tails[n_max])
-            top = n_max + margin
-        elif top > FOCK_CAP:
-            return None
-        else:
-            top *= 2
+    return None

@@ -60,7 +60,6 @@ class MatrixWorkspace:
 
     basis: str
     n_states: int
-    alpha_sq: float
     dimension: int
     alpha_states: np.ndarray
     u_states: np.ndarray
@@ -135,7 +134,7 @@ def build_workspace(spec: EnsembleSpec,
     alpha_states, beta_states, u_states, success_vectors, failure_vectors = _frozen(
         coords @ unit_rows)
     return MatrixWorkspace(
-        basis=basis, n_states=n, alpha_sq=spec.alpha_sq, dimension=rows.shape[1],
+        basis=basis, n_states=n, dimension=rows.shape[1],
         alpha_states=alpha_states, u_states=u_states, beta_states=beta_states,
         success_vectors=success_vectors, failure_vectors=failure_vectors,
         tail_mass=tail_mass,

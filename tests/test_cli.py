@@ -13,7 +13,7 @@ import pytest
 
 from cvdisc import CertificationFailure, DomainError, cli, discrim, ensemble, montecarlo, oracle
 from cvdisc.analytic3 import KINK_PERIOD
-from cvdisc.cli import CSV_HEADER, STEPS_CAP, SweepRequest, main
+from cvdisc.cli import CSV_HEADER, STEPS_CAP, main
 
 
 def run(capsys, *argv):
@@ -258,9 +258,9 @@ def test_sweep_bad_grid_exit_2(capsys, recwarn, argv):
 
 
 def test_sweep_steps_cap_is_inclusive():
-    assert SweepRequest(3, 0.0, 1.0, STEPS_CAP).steps == STEPS_CAP
+    assert cli._sweep_grid(3, 0.0, 1.0, STEPS_CAP).size == STEPS_CAP
     with pytest.raises(DomainError):
-        SweepRequest(3, 0.0, 1.0, STEPS_CAP + 1)
+        cli._sweep_grid(3, 0.0, 1.0, STEPS_CAP + 1)
 
 
 # --- mc ---------------------------------------------------------------------
@@ -276,6 +276,30 @@ def test_mc_reports_table_and_stream(capsys):
     # %.12g of 0.561043547430 drops the trailing zero.
     assert values["analytic_p_s"] == "0.56104354743"
     assert values["analytic_confidence_failure"] == "0.664797247539"
+
+
+def test_mc_summary_block(capsys):
+    # The six summary lines close stdout, in this order, each name padded to
+    # 29 columns, each value the record's field as the report prints it.
+    shots = 20000
+    code, out, _ = run(capsys, "mc", "--n", "3", "--alpha2", "1.0",
+                       "--shots", str(shots), "--seed", "42")
+    assert code == 0
+    spec = ensemble.EnsembleSpec(3, 1.0)
+    result = montecarlo.simulate(montecarlo.MCConfig(spec=spec, shots=shots, seed=42))
+    rep = discrim.ir_report(spec)
+    prob = result.joint.columns() / 3
+    live = prob > 0.0
+    assert not result.counts[~live].any()
+    p = prob[live]
+    z = (result.counts[live] / shots - p) / np.sqrt(p * (1.0 - p) / shots)
+    expected = [("empirical_p_s", result.empirical_p_s), ("analytic_p_s", rep.p_s),
+                ("empirical_confidence_failure", result.empirical_confidence_failure),
+                ("analytic_confidence_failure", rep.confidence_failure),
+                ("max_abs_z", float(np.abs(z).max())),
+                ("rng_algorithm", result.rng_algorithm)]
+    assert out.splitlines()[-6:] == [name.ljust(29) + "= " + cli._g(value)
+                                     for name, value in expected]
 
 
 def test_mc_same_seed_same_stdout(capsys):

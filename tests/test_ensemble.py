@@ -369,6 +369,22 @@ def test_fock_cap_is_fixed():
         basis_amplitudes(EnsembleSpec(3, 4000.0), 1e-12)
 
 
+def test_ladder_is_built_at_most_twice(monkeypatch):
+    # A tail target far below ~1e-30 outruns the first ladder; the second
+    # runs to FOCK_CAP and holds the cutoff.
+    calls = []
+    original = ensemble._running_products
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ensemble, "_running_products", counting)
+    amp = basis_amplitudes(EnsembleSpec(8, 6.0), 1e-300)
+    assert amp.cutoff == 249
+    assert len(calls) <= 2
+
+
 def full_scan_basis(spec, tail_eps):
     """Reference for basis_amplitudes in scipy's log space: one gammainc pass
     over every candidate cutoff N-1..FOCK_CAP, first hit, then the
