@@ -6,12 +6,12 @@ through the mean photon number alpha^2. This module computes the exact
 finite-sum decomposition of the alphabet: the amplitude coefficients c_j over
 the symmetric orthonormal basis together with the separation success
 probability and failure profile they fix, and the Fock-space amplitudes of
-|alpha> split by residue class.
+|alpha>, whose state k lies in residue class k mod N.
 
 Everything here needs numpy alone. The coefficients and the Fock route share
 one construction: Poisson weights p_k = e^(-alpha^2) alpha^(2k) / k! as
 running products outward from the mode floor(alpha^2), in np.longdouble. The
-coefficients fold them mod N; basis_amplitudes puts sqrt(p_k) on row k mod N
+coefficients fold them mod N; basis_amplitudes returns the ladder sqrt(p_k)
 and takes the tails P(X > m) as their suffix sums, smallest term first.
 Where np.longdouble is a plain double, a weight loses about |k - mode| ulp,
 no worse than the log-space route through lgamma.
@@ -204,20 +204,14 @@ class CoefficientProfile:
 
 @dataclass(frozen=True)
 class BasisAmplitudes:
-    """Fock-space amplitudes of |alpha>, one row per residue class mod N.
-
-    Row j of amps holds sqrt(p_n) for n = 0..cutoff, n = j (mod N), and
-    zeros: c_j |phi_j> less its class's tail, so |alpha w^m> = sum_j w^(mj)
-    row_j. tail_mass bounds the Poisson weight discarded by the truncation.
+    """Fock-space amplitudes of |alpha>: the read-only Poisson ladder
+    amps[k] = sqrt(p_k), k = 0..cutoff, state k in residue class k mod N.
+    tail_mass bounds the Poisson weight discarded by the truncation.
     """
 
     cutoff: int
     amps: np.ndarray
     tail_mass: float
-
-    @property
-    def n_states(self) -> int:
-        return self.amps.shape[0]
 
 
 def coefficients(spec: EnsembleSpec) -> CoefficientProfile:
@@ -256,7 +250,7 @@ def coefficient_grid(n: int, alpha_sq) -> Iterator[CoefficientProfile]:
     cells = alpha_sq if isinstance(alpha_sq, np.ndarray) else np.array(alpha_sq, dtype=object)
     if cells.dtype.kind in "bcOSU":
         cells = np.array([_real(v) for v in cells.ravel().tolist()]).reshape(cells.shape)
-    a2 = np.asarray(cells, dtype=float)
+    a2 = np.asarray(cells, dtype=float) + 0.0     # -0.0 + 0.0 is 0.0, as in EnsembleSpec
     if a2.ndim != 1:
         raise DomainError(f"alpha_sq must be a 1-D array, got shape {a2.shape}")
     bad = ~((a2 >= 0.0) & (a2 <= MAX_ALPHA_SQ))
@@ -361,10 +355,10 @@ def _failure_spectrum(b: np.ndarray) -> np.ndarray:
 
 
 def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
-    """Fock amplitudes sqrt(p_k) on the ladder k = j + p*N of row j, where
-    p_k = e^(-alpha^2) alpha^(2k) / k! is the Poisson weight of the coherent
-    states: |alpha w^m> puts e^(-alpha^2/2) alpha^k w^(mk) / sqrt(k!) =
-    w^(mj) sqrt(p_k) on |k>. Nothing is read from the coefficients.
+    """The Fock ladder sqrt(p_k), k = 0..cutoff, of the Poisson weights p_k =
+    e^(-alpha^2) alpha^(2k) / k!: |alpha w^m> puts e^(-alpha^2/2) alpha^k
+    w^(mk) / sqrt(k!) = w^(mk) sqrt(p_k) on |k>, in residue class k mod N.
+    Nothing is read from the coefficients.
 
     The cutoff is the smallest n_max >= N-1 whose Poisson tail mass
     P(X > n_max) is below tail_eps, which must lie in (0, 1e-6], capped at
@@ -391,11 +385,8 @@ def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
         raise CutoffOverflow(f"no cutoff <= {FOCK_CAP} reaches tail mass {tail_eps} "
                              f"at alpha_sq={a2}")
     n_max, p, tail_mass = ladder
-
-    ks = np.arange(n_max + 1)
-    amps = np.zeros((n, n_max + 1))
-    amps[ks % n, ks] = np.sqrt(p[:n_max + 1])
-    return BasisAmplitudes(cutoff=n_max, amps=_frozen(amps), tail_mass=tail_mass)
+    return BasisAmplitudes(cutoff=n_max, amps=_frozen(np.sqrt(p[:n_max + 1]).astype(float)),
+                           tail_mass=tail_mass)
 
 
 def _poisson_ladder(a2: float, n: int, tail_eps: float) -> tuple[int, np.ndarray, float] | None:

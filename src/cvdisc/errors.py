@@ -24,8 +24,8 @@ class CutoffOverflow(CvdiscError):
 
 
 class FullSeparation(CvdiscError):
-    """The separation success probability is within 1e-15 of 1, so the failure
-    branch is empty and failure-state quantities are defined only as limits."""
+    """The failure branch is empty (1 - p_s < 1e-15, or every coefficient is
+    degenerate with c_min): failure-state quantities are limits only."""
 
 
 class CertificationFailure(CvdiscError):

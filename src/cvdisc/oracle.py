@@ -18,10 +18,10 @@ trace-derived probabilities and the Helstrom certificates against the closed
 forms in discrim, not the choice of separation. The Gram route checks that:
 gram_probabilities derives every report field from the eigenvalues of the
 overlap matrix gram alone, reading nothing from the kernel. Both bases share
-one assembly on N orthogonal rows, diag(c) or the Fock ladder of |alpha>; the
-measurement acts on the rows normalised to unit length, an exact POVM on
-their span checked on the N coordinates, so truncation reaches the
-probabilities only through the states.
+one assembly; the basis chooses only its ladder, c or the Fock ladder
+sqrt(p_k) of |alpha>, state k on row k mod N. The measurement acts on the
+rows normalised to unit length, an exact POVM on their span checked on the
+N coordinates, so truncation enters only through the class norms.
 """
 
 from __future__ import annotations
@@ -88,13 +88,13 @@ def build_workspace(spec: EnsembleSpec,
                     tail_eps: float = TAIL_EPS) -> MatrixWorkspace:
     """Assemble all states and measurement vectors and check completeness.
 
-    basis 'phi' works in the N-dimensional symmetric basis on the rows
-    diag(c) (exact, fast); basis 'fock' reconstructs everything in a
-    truncated Fock space whose cutoff is controlled by tail_eps, on the rows
-    that basis_amplitudes returns. Every state and measurement vector is its
-    N coordinates on those rows normalised to unit length (a zero row stays
-    zero), all five families from one stacked product, so the chain is an
-    exact POVM on their span.
+    The basis chooses only a ladder of d amplitudes, state k on row k mod N:
+    'phi' the coefficients c (d = N, exact, fast), 'fock' the Poisson ladder
+    of basis_amplitudes, truncated as tail_eps sets. Every state and
+    measurement vector is its N coordinates on the rows normalised to unit
+    length (a zero row stays zero): the five families are one gather of the
+    stacked coordinates onto the d states, scaled by the unit ladder, O(N d)
+    work, and the chain is an exact POVM on the span of the rows.
     Construction raises CertificationFailure if either completeness
     relation, checked on the N x N coordinates of the nonzero rows, misses
     the identity by more than 1e-10.
@@ -112,29 +112,32 @@ def build_workspace(spec: EnsembleSpec,
     failure_profile(profile)                  # raises FullSeparation when empty
 
     if basis == "phi":
-        rows = np.diag(profile.c)
-        tail_mass = 0.0
+        ladder, tail_mass = profile.c, 0.0
     else:
         amp = basis_amplitudes(spec, tail_eps)
-        rows, tail_mass = amp.amps, amp.tail_mass
+        ladder, tail_mass = amp.amps, amp.tail_mass
     # Rows whose norm underflows to 0 stay unscaled, too small to span anything.
-    norms = np.linalg.norm(rows, axis=1)
+    rows = np.arange(ladder.size) % n
+    norms = np.sqrt(np.bincount(rows, ladder * ladder, n))
     live = norms > 0.0
-    unit_rows = rows / np.where(live, norms, 1.0)[:, None]
+    unit_ladder = ladder / np.where(live, norms, 1.0)[rows]
 
     # On the unit rows e_j, alpha_k has coordinates w^(kj) |row_j| and u_k
     # w^(kj)/sqrt(N); A = sum_j diag_j |e_j><e_j| scales coordinate j, so
-    # A_f alpha_k and A^dagger u_k are rows of one stacked product.
+    # A_f alpha_k and A^dagger u_k are rows of one stacked array.
     scales = np.array((norms, a_f * norms / np.sqrt(1.0 - profile.p_s),
                        np.full(n, n ** -0.5), a_s * n ** -0.5, a_f * n ** -0.5))
     k = np.arange(n)
     phases = np.exp(2j * np.pi * np.outer(k, k) / n)      # w^(k*j)
     coords = phases * scales[:, None, :]
     _check_completeness(coords[2:].compress(live, axis=2))
-    alpha_states, beta_states, u_states, success_vectors, failure_vectors = _frozen(
-        coords @ unit_rows)
+    # take, unlike coords[..., rows], gives C-contiguous families, the layout
+    # the brute-force dot products are summed in.
+    families = coords.take(rows, axis=2)
+    families *= unit_ladder
+    alpha_states, beta_states, u_states, success_vectors, failure_vectors = _frozen(families)
     return MatrixWorkspace(
-        basis=basis, n_states=n, dimension=rows.shape[1],
+        basis=basis, n_states=n, dimension=ladder.size,
         alpha_states=alpha_states, u_states=u_states, beta_states=beta_states,
         success_vectors=success_vectors, failure_vectors=failure_vectors,
         tail_mass=tail_mass,
@@ -152,10 +155,9 @@ def _kraus_diagonals(profile: CoefficientProfile) -> np.ndarray:
     """
     if profile.degenerate:
         raise DegenerateEnsemble("separation map undefined for a single-state alphabet")
-    mask = profile.degenerate_mask
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_s = np.where(mask, 1.0, profile.c_min / profile.c)
-    a_f = np.where(mask, 0.0, np.sqrt(np.clip(1.0 - a_s ** 2, 0.0, None)))
+    a_s = np.divide(profile.c_min, profile.c, out=np.ones_like(profile.c),
+                    where=~profile.degenerate_mask)
+    a_f = np.sqrt(1.0 - a_s ** 2)      # c_min <= c_j, so a_s <= 1
     return np.array((a_s, a_f))
 
 

@@ -156,3 +156,5 @@ def test_kinks_rejects_bad_bound():
     for bad in (-1.0, math.nan, math.inf, math.nextafter(MAX_ALPHA_SQ, math.inf)):
         with pytest.raises(DomainError):
             kinks_n3(bad)
+    with pytest.raises(DomainError, match="must be > 0"):
+        kinks_n3(0.0)

@@ -614,6 +614,8 @@ def test_verify_certification_failure_exit_5(capsys, monkeypatch):
 def test_verify_bad_list_exit_2(capsys):
     code, _, _ = run(capsys, "verify", "--n", "3", "--alpha2", "1.0,oops")
     assert code == 2
+    code, _, err = run(capsys, "verify", "--n", "3", "--alpha2", ",")
+    assert code == 2 and err.endswith("alpha2 list is empty\n")
 
 
 # --- usage ------------------------------------------------------------------

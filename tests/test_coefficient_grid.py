@@ -26,13 +26,13 @@ RECORD_FIELDS = (*(field.name for field in dataclasses.fields(CoefficientProfile
 
 
 def grid_values(n):
-    """Unsorted and sorted alpha^2 values: 0, a seeded draw, dense runs that
-    share a Poisson mode (so folds split at GRID_BLOCK), [40, 160], two far
-    points, and mode edges m and the double just below m."""
+    """Unsorted and sorted alpha^2 values: 0 and -0, a seeded draw, dense
+    runs that share a Poisson mode (so folds split at GRID_BLOCK), [40, 160],
+    two far points, and mode edges m and the double just below m."""
     rng = np.random.default_rng([20, n])
     edges = np.array([1.0, 6.0, 41.0, 1000.0])
     return np.concatenate([
-        [0.0],
+        [0.0, -0.0],
         edges,
         np.nextafter(edges, 0.0),
         rng.uniform(0.0, 30.0, 12),

@@ -226,7 +226,8 @@ def test_certificate_memory_is_bounded():
 
 def test_fock_workspace_memory_is_bounded():
     # The Fock build forms no d x d array: completeness is checked on the
-    # N x N coordinates, so its peak is a few N x d complex arrays (d = 431
+    # N x N coordinates, and the five families are gathered from them and
+    # scaled in place, so its peak is a few N x d complex arrays (d = 431
     # and 1231 here).
     for n, alpha_sq in [(32, 300.0), (64, 1000.0)]:
         tracemalloc.start()
@@ -235,7 +236,7 @@ def test_fock_workspace_memory_is_bounded():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 16 * n * ws.dimension
+        assert peak < 7 * 16 * n * ws.dimension
 
 
 # --- separation Kraus diagonals ------------------------------------------------
@@ -342,3 +343,16 @@ def test_broken_separation_fails_chain_completeness(monkeypatch, basis, n, alpha
     monkeypatch.setattr(oracle, "_kraus_diagonals", stretched)
     with pytest.raises(CertificationFailure, match="two-stage POVM"):
         build_workspace(EnsembleSpec(n, alpha_sq), basis=basis)
+
+
+def test_stretched_projectors_fail_completeness():
+    # The minimum-error coordinates w^(kj)/sqrt(N) resolve the span; made
+    # slightly too long, they do not, whatever the separation pair.
+    n = 4
+    k = np.arange(n)
+    u = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    a_s, a_f = oracle._kraus_diagonals(coefficients(EnsembleSpec(n, 2.0)))
+    oracle._check_completeness(np.array((u, u * a_s, u * a_f)))
+    with pytest.raises(CertificationFailure,
+                       match="^minimum-error projectors do not resolve the span$"):
+        oracle._check_completeness(np.array((u * (1 + 1e-8), u * a_s, u * a_f)))
