@@ -193,8 +193,10 @@ def _mc_table(result: montecarlo.MCResult) -> tuple[float, bool]:
         emp = count / shots
         sigma = np.sqrt(prob * (1.0 - prob) / shots)
         with np.errstate(divide="ignore", invalid="ignore"):
+            # sigma underflows at a subnormal prob (prob <= 1/N < 1); prob * shots does not.
+            count_z = (count - prob * shots) / np.sqrt(prob * shots * (1.0 - prob))
             z = np.where(sigma > 0.0, (emp - prob) / sigma,
-                         np.where(emp == prob, 0.0, math.inf))
+                         np.where(prob > 0.0, count_z, np.where(emp == prob, 0.0, math.inf)))
         worst_z = max(worst_z, float(np.abs(z).max()))
         flagged = flagged or _beyond_6_sigma(count, prob * shots, z)
         columns = [*index, count.ravel().tolist(), emp.ravel().tolist(),

@@ -1,31 +1,30 @@
 """Brute-force verification layer.
 
-Rebuilds every state of the discrimination chain as an explicit vector,
-either in the N-dimensional symmetric basis or in a truncated Fock space.
-Every measurement element of the chain is rank one: the minimum-error
-projectors are |u_k><u_k|, and the separation Kraus operator A conjugates
-them into |A^dagger u_k><A^dagger u_k|. The workspace therefore stores each
-element as its vector, re-derives all probabilities as tr(Pi rho) =
-|<v|psi>|^2, and certifies minimum-error optimality through the standard
+Rebuilds the discrimination chain as explicit vectors, in the N-dimensional
+symmetric basis or in a truncated Fock space. Every measurement element is
+rank one: the minimum-error projectors are |u_k><u_k|, and the separation
+Kraus operator A conjugates them into |A^dagger u_k><A^dagger u_k|. The
+workspace stores each element as its vector, re-derives all probabilities as
+tr(Pi rho) = |<v|psi>|^2, and certifies minimum-error optimality through the
 Helstrom conditions (Gamma = (1/N) * sum_k Pi_k rho_k Hermitian and
-Gamma - rho_k/N positive semidefinite). The separation model itself is not
-rebuilt: build_workspace reads c, c_min, degenerate_mask, degenerate, p_s and
-full_separation from one ensemble.coefficients record, and not its failure
-profile b. It forms the separation Kraus diagonals from c and c_min, and the
+Gamma - rho_k/N positive semidefinite). Both bases share one measurement,
+built once per spec on the N coordinates of the unit rows, state k of
+|alpha> on row k mod N; the basis chooses only the row norms, c or the class
+norms of the Fock ladder sqrt(p_k), so truncation enters only through them.
+
+The separation model itself is not rebuilt: build_workspace reads c, c_min,
+degenerate_mask, degenerate, p_s and full_separation from one
+ensemble.coefficients record, not its failure profile b, and forms the
 failure states as the failure Kraus image of the inputs over sqrt(1 - p_s).
-Agreement between the two paths therefore checks the assembly, the
-trace-derived probabilities and the Helstrom certificates against the closed
-forms in discrim, not the choice of separation. The Gram route checks that:
-gram_probabilities derives every report field from the eigenvalues of the
-overlap matrix gram alone, reading nothing from the kernel. Both bases share
-one assembly; the basis chooses only its ladder, c or the Fock ladder
-sqrt(p_k) of |alpha>, state k on row k mod N. The measurement acts on the
-rows normalised to unit length, an exact POVM on their span checked on the
-N coordinates, so truncation enters only through the class norms.
+Agreement with discrim therefore checks the assembly, the trace-derived
+probabilities and the Helstrom certificates, not the choice of separation;
+gram_probabilities checks that from the eigenvalues of the overlap matrix
+gram alone, reading nothing from the kernel.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +53,8 @@ class MatrixWorkspace:
     the minimum-error projector of outcome k is |u_k><u_k| with u_k =
     u_states[k], and the two-stage chain's elements are |v_k><v_k| with v_k
     = A^dagger u_k taken from success_vectors / failure_vectors, A being the
-    success or failure Kraus operator of the separation. These vectors lie on
-    the basis rows normalised to unit length.
+    success or failure Kraus operator of the separation. Arrays are (N, N),
+    coordinates on the unit rows; dimension is N or the Fock cutoff + 1.
     """
 
     basis: str
@@ -88,60 +87,58 @@ def build_workspace(spec: EnsembleSpec,
                     tail_eps: float = TAIL_EPS) -> MatrixWorkspace:
     """Assemble all states and measurement vectors and check completeness.
 
-    The basis chooses only a ladder of d amplitudes, state k on row k mod N:
-    'phi' the coefficients c (d = N, exact, fast), 'fock' the Poisson ladder
-    of basis_amplitudes, truncated as tail_eps sets. Every state and
-    measurement vector is its N coordinates on the rows normalised to unit
-    length (a zero row stays zero): the five families are one gather of the
-    stacked coordinates onto the d states, scaled by the unit ladder, O(N d)
-    work, and the chain is an exact POVM on the span of the rows.
-    Construction raises CertificationFailure if either completeness
-    relation, checked on the N x N coordinates of the nonzero rows, misses
-    the identity by more than 1e-10.
-    Every element is |v><v| for a stored vector v, so it is positive
-    semidefinite by construction. N above VERIFY_N_CAP raises DomainError
-    before anything is built.
+    The basis chooses only the norms of the N rows, state k on row k mod N:
+    'phi' the coefficients c (exact, fast), 'fock' the class norms of the
+    Poisson ladder of basis_amplitudes, truncated as tail_eps sets. Every
+    vector is stored as its N coordinates on the orthonormal unit rows: the
+    states scale the phases w^(kj) by the norms, and the measurement vectors
+    are _measurement's on the rows of nonzero norm, an exact POVM on their
+    span, so the build is O(N^2) at any cutoff. CertificationFailure is
+    raised if either completeness relation, checked on the N x N
+    coordinates, misses the identity by more than 1e-10. Every element is
+    |v><v| for a stored vector v, so it is positive semidefinite by
+    construction. N above VERIFY_N_CAP raises DomainError before anything
+    is built.
     """
     if basis not in ("phi", "fock"):
         raise DomainError(f"basis must be 'phi' or 'fock', got {basis!r}")
     n = spec.n_states
     if n > VERIFY_N_CAP:
         raise DomainError(f"n_states {n} exceeds cap {VERIFY_N_CAP}")
-    profile = coefficients(spec)
-    a_s, a_f = _kraus_diagonals(profile)      # raises DegenerateEnsemble on vacuum
-    failure_profile(profile)                  # raises FullSeparation when empty
-
+    phases, a_f, root_failure, measurement = _measurement(spec)
     if basis == "phi":
-        ladder, tail_mass = profile.c, 0.0
+        norms, dimension, tail_mass = coefficients(spec).c, n, 0.0
     else:
         amp = basis_amplitudes(spec, tail_eps)
-        ladder, tail_mass = amp.amps, amp.tail_mass
-    # Rows whose norm underflows to 0 stay unscaled, too small to span anything.
-    rows = np.arange(ladder.size) % n
-    norms = np.sqrt(np.bincount(rows, ladder * ladder, n))
-    live = norms > 0.0
-    unit_ladder = ladder / np.where(live, norms, 1.0)[rows]
-
-    # On the unit rows e_j, alpha_k has coordinates w^(kj) |row_j| and u_k
-    # w^(kj)/sqrt(N); A = sum_j diag_j |e_j><e_j| scales coordinate j, so
-    # A_f alpha_k and A^dagger u_k are rows of one stacked array.
-    scales = np.array((norms, a_f * norms / np.sqrt(1.0 - profile.p_s),
-                       np.full(n, n ** -0.5), a_s * n ** -0.5, a_f * n ** -0.5))
-    k = np.arange(n)
-    phases = np.exp(2j * np.pi * np.outer(k, k) / n)      # w^(k*j)
-    coords = phases * scales[:, None, :]
-    _check_completeness(coords[2:].compress(live, axis=2))
-    # take, unlike coords[..., rows], gives C-contiguous families, the layout
-    # the brute-force dot products are summed in.
-    families = coords.take(rows, axis=2)
-    families *= unit_ladder
-    alpha_states, beta_states, u_states, success_vectors, failure_vectors = _frozen(families)
+        norms = np.sqrt(np.bincount(np.arange(amp.cutoff + 1) % n, amp.amps * amp.amps, n))
+        dimension, tail_mass = amp.cutoff + 1, amp.tail_mass
+    scales = np.array((norms, a_f * norms / root_failure))
+    alpha_states, beta_states = _frozen(phases * scales[:, None, :])
+    u_states, success_vectors, failure_vectors = _frozen(measurement * (norms > 0.0))
     return MatrixWorkspace(
-        basis=basis, n_states=n, dimension=ladder.size,
+        basis=basis, n_states=n, dimension=dimension,
         alpha_states=alpha_states, u_states=u_states, beta_states=beta_states,
         success_vectors=success_vectors, failure_vectors=failure_vectors,
         tail_mass=tail_mass,
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _measurement(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """The part of the chain no basis changes, (phases, a_f, sqrt(1 - p_s),
+    coords): w^(kj), the failure Kraus diagonal, and the (u, success,
+    failure) coordinates w^(kj)/sqrt(N) times 1, a_s and a_f, checked
+    complete here. One entry, keyed on the spec's value and at most
+    4 * 16 * N^2 bytes: verify's Fock build of a point reuses its phi one."""
+    profile = coefficients(spec)
+    a_s, a_f = _kraus_diagonals(profile)      # raises DegenerateEnsemble on vacuum
+    failure_profile(profile)                  # raises FullSeparation when empty
+    n = spec.n_states
+    k = np.arange(n)
+    phases = _frozen(np.exp(2j * np.pi * np.outer(k, k) / n))      # w^(k*j)
+    coords = _frozen(phases * (np.array((np.ones(n), a_s, a_f)) * n ** -0.5)[:, None, :])
+    _check_completeness(coords)
+    return phases, a_f, np.sqrt(1.0 - profile.p_s), coords
 
 
 def _kraus_diagonals(profile: CoefficientProfile) -> np.ndarray:
@@ -162,10 +159,10 @@ def _kraus_diagonals(profile: CoefficientProfile) -> np.ndarray:
 
 
 def _check_completeness(coords: np.ndarray) -> None:
-    # coords stacks the (u, success, failure) coordinates C on the nonzero
-    # unit rows U, which are orthonormal. Each element sum V.T @ V.conj()
-    # of V = C @ U then misses the span projector U.T @ U.conj() by the
-    # N x N residual C.T @ C.conj() - 1 carried through the rows.
+    # coords stacks the (u, success, failure) coordinates C on the N unit
+    # rows U, which are orthonormal. Each element sum V.T @ V.conj() of
+    # V = C @ U then misses the span projector U.T @ U.conj() by the N x N
+    # residual C.T @ C.conj() - 1, or a principal block of it on live rows.
     u, s, f = coords
     eye = np.eye(u.shape[1])
     if float(np.max(np.abs(u.T @ u.conj() - eye))) > _COMPLETENESS_TOL:

@@ -421,14 +421,17 @@ def reference_mc_table(result):
         emp = count / shots
         prob = analytic[k, kp, br]
         sigma = math.sqrt(prob * (1.0 - prob) / shots)
+        lam = prob * shots
         if sigma > 0.0:
             z = (emp - prob) / sigma
+        elif prob > 0.0:
+            z = (count - lam) / math.sqrt(lam * (1.0 - prob))
         elif emp == prob:
             z = 0.0
         else:
             z = math.inf
         worst_z = max(worst_z, abs(z))
-        flagged = flagged or beyond_6_sigma_reference(count, prob * shots, z)
+        flagged = flagged or beyond_6_sigma_reference(count, lam, z)
         lines.append(f"{k:4d} {kp:7d} {'sf'[br]:>6s} {count:10d} {emp:.6e} {prob:.6e} {z:8.3f}\n")
         rows.append(f"{k},{kp},{'sf'[br]},{count}\n")
     return "".join(lines), worst_z, flagged, "".join(rows)
@@ -439,6 +442,7 @@ def reference_mc_table(result):
     (3, 0.003, 2000, 0),           # the rare hit
     (3, 45.0, 500, 5),             # full separation
     (5, 1e-3, 10 ** 9, 3), (64, 20.0, 10 ** 9, 1), (200, 50.0, 10 ** 9, 2),
+    (2, 5e-324, 10, 1),            # success cells of subnormal probability
 ])
 def test_mc_table_is_the_per_cell_table(capsys, n, alpha_sq, shots, seed):
     # N = 200 spans two blocks of the table and of the counts CSV.
@@ -449,6 +453,19 @@ def test_mc_table_is_the_per_cell_table(capsys, n, alpha_sq, shots, seed):
     assert capsys.readouterr().out == text
     assert (worst_z, flagged) == (ref_worst, ref_flagged)
     assert "".join(cli._count_rows(result.counts)) == counts_csv
+
+
+def test_mc_subnormal_cells_have_finite_z(capsys):
+    # The success cells have probability 5e-324, where sqrt(p(1 - p)/shots)
+    # underflows to 0; their empty counts are consistent, so z is finite,
+    # -sqrt(p * shots) on the count scale, and nothing is flagged.
+    code, out, err = run(capsys, "mc", "--n", "2", "--alpha2", "5e-324",
+                         "--shots", "10", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert "inf" not in out
+    rows = [line.split() for line in out.splitlines()[1:9]]
+    assert [row[6] for row in rows if row[2] == "s" and row[5] != "0.000000e+00"] == ["-0.000"] * 2
+    assert parse_report(out[out.index("empirical_p_s"):])["max_abs_z"] == "1.09544511501"
 
 
 def test_mc_reuses_the_sampled_joint(capsys, monkeypatch):
@@ -544,6 +561,15 @@ def test_verify_evaluates_coefficients_once_per_point(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--n", "3", "--alpha2", "1,2")
     assert code == 0
     assert len(folds) == 2
+
+
+def test_verify_builds_each_measurement_once_per_point(capsys, monkeypatch):
+    # The phi and Fock workspaces of a point share one memoised measurement:
+    # the Kraus diagonals are formed once per point, not once per basis.
+    diagonals = count_calls(monkeypatch, oracle._kraus_diagonals)
+    code, _, _ = run(capsys, "verify", "--n", "4", "--alpha2", "1.0,2.0")
+    assert code == 0
+    assert len(diagonals) == 2
 
 
 def test_verify_larger_alphabet(capsys):

@@ -1,5 +1,6 @@
 """Brute-force matrix oracle and Helstrom optimality certificates."""
 
+import importlib
 import tracemalloc
 import warnings
 
@@ -13,6 +14,7 @@ from cvdisc import (
     DomainError,
     EnsembleSpec,
     FullSeparation,
+    basis_amplitudes,
     brute_force_joint,
     brute_force_probabilities,
     build_workspace,
@@ -225,18 +227,42 @@ def test_certificate_memory_is_bounded():
 
 
 def test_fock_workspace_memory_is_bounded():
-    # The Fock build forms no d x d array: completeness is checked on the
-    # N x N coordinates, and the five families are gathered from them and
-    # scaled in place, so its peak is a few N x d complex arrays (d = 431
-    # and 1231 here).
-    for n, alpha_sq in [(32, 300.0), (64, 1000.0)]:
+    # Every array of the Fock build is N x N, whatever the cutoff (d = 431,
+    # 1231 and 3394 here): the cold build, its memoised measurement
+    # included, peaks below 16 complex N x N arrays. numpy.fft, which the
+    # kernel imports on first use, is loaded before tracing.
+    importlib.import_module("numpy.fft")
+    for n, alpha_sq in [(32, 300.0), (64, 1000.0), (64, 3000.0)]:
+        oracle._measurement.cache_clear()
         tracemalloc.start()
         try:
             ws = build_workspace(EnsembleSpec(n, alpha_sq), "fock")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7 * 16 * n * ws.dimension
+        assert ws.dimension > 6 * n
+        assert peak < 16 * 16 * n * n
+
+
+@pytest.mark.parametrize("n, alpha_sq", [(4, 2.0), (16, 0.5), (103, 0.03), (64, 1000.0)])
+def test_phi_and_fock_workspaces_share_the_measurement(n, alpha_sq):
+    # Both bases hold N coordinates per vector, and their measurement vectors
+    # agree on every row of nonzero norm in both; a row of norm 0 spans
+    # nothing in either.
+    spec = EnsembleSpec(n, alpha_sq)
+    phi, fock = build_workspace(spec, "phi"), build_workspace(spec, "fock")
+    assert (phi.dimension, fock.dimension) == (n, basis_amplitudes(spec, 1e-12).cutoff + 1)
+    names = ("alpha_states", "beta_states", "u_states", "success_vectors", "failure_vectors")
+    live = []
+    for ws in (phi, fock):
+        assert {getattr(ws, name).shape for name in names} == {(n, n)}
+        live.append(ws.alpha_states[0] != 0.0)      # alpha_0 holds the row norms
+        for name in names[2:]:
+            assert not np.any(getattr(ws, name)[:, ~live[-1]])
+    both = live[0] & live[1]
+    assert both.any()
+    for name in names[2:]:
+        np.testing.assert_array_equal(getattr(phi, name)[:, both], getattr(fock, name)[:, both])
 
 
 # --- separation Kraus diagonals ------------------------------------------------
