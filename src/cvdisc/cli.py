@@ -2,7 +2,8 @@
 closed-form solver, and oracle verification.
 
 Exit codes: 0 success, 2 argument/domain error, 3 I/O failure, 4 statistical
-flag (a Monte Carlo cell beyond 6 sigma), 5 certification failure.
+flag (a Monte Carlo cell beyond 6 sigma), 5 certification failure, 141
+(128 + SIGPIPE) stdout closed by its reader.
 
 report and sweep print the same views of a coefficient record, collected by
 _values from ir_columns and info_columns: report of the one-point profile of
@@ -48,6 +49,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_STATISTICAL = 4
 EXIT_CERTIFICATION = 5
+EXIT_BROKEN_PIPE = 141
 
 CSV_HEADER = ("alpha_sq,p_s,p_c_med,p_c_med_beta,p_c_ir,fidelity,infidelity,"
               "error_bound,i_ud,i_ir,gain,failure_dim")
@@ -332,7 +334,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
 
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`cvdisc mc ... | head -1`): fd 1 goes to
+        # /dev/null so the interpreter's last flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return EXIT_BROKEN_PIPE
     except CertificationFailure as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION

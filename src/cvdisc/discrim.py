@@ -83,12 +83,12 @@ class JointDistribution:
         return _frozen(_circulant(self.shift).copy())
 
     def columns(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """The columns of the blocks for preparations k = start..stop-1, as a
-        new array [k - start, k', branch] = p(outcome k', branch | k) with
-        branch 0 success and 1 failure; no dense block is built."""
+        """The columns of the blocks for preparations range(N)[start:stop],
+        as a new array [k - start, k', branch] = p(outcome k', branch | k)
+        with branch 0 success and 1 failure; no dense block is built."""
         n = self.n_states
-        stop = n if stop is None else min(stop, n)
-        cols = np.zeros((stop - start, n, 2))
+        start, stop, _ = slice(start, stop).indices(n)
+        cols = np.zeros((max(0, stop - start), n, 2))
         cols[:, :, 1] = _circulant(self.shift).T[start:stop]
         # Row r is preparation start + r, whose success outcome is itself.
         np.fill_diagonal(cols[:, start:, 0], self.p_s)

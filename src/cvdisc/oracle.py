@@ -3,13 +3,14 @@
 Rebuilds the discrimination chain as explicit vectors, in the N-dimensional
 symmetric basis or in a truncated Fock space. Every measurement element is
 rank one: the minimum-error projectors are |u_k><u_k|, and the separation
-Kraus operator A conjugates them into |A^dagger u_k><A^dagger u_k|. The
-workspace stores each element as its vector, re-derives all probabilities as
-tr(Pi rho) = |<v|psi>|^2, and certifies minimum-error optimality through the
-Helstrom conditions (Gamma = (1/N) * sum_k Pi_k rho_k Hermitian and
+Kraus operator A conjugates them into |A^dagger u_k><A^dagger u_k|. A
+workspace is two stacks of N coordinates on the unit rows, state k of
+|alpha> on row k mod N: the states (inputs, failure states) and the
+measurement (u, success, failure). All probabilities are re-derived as
+tr(Pi rho) = |<v|psi>|^2, and minimum-error optimality is certified through
+the Helstrom conditions (Gamma = (1/N) * sum_k Pi_k rho_k Hermitian and
 Gamma - rho_k/N positive semidefinite). Both bases share one measurement,
-built once per spec on the N coordinates of the unit rows, state k of
-|alpha> on row k mod N; the basis chooses only the row norms, c or the class
+built once per spec; the basis chooses only the row norms, c or the class
 norms of the Fock ladder sqrt(p_k), so truncation enters only through them.
 
 The separation model itself is not rebuilt: build_workspace reads c, c_min,
@@ -47,25 +48,17 @@ VERIFY_N_CAP = 2 ** 9
 
 @dataclass(frozen=True)
 class MatrixWorkspace:
-    """Explicit vector assembly of one alphabet's measurement chain.
-
-    State arrays hold one state per row, and so do the measurement vectors:
-    the minimum-error projector of outcome k is |u_k><u_k| with u_k =
-    u_states[k], and the two-stage chain's elements are |v_k><v_k| with v_k
-    = A^dagger u_k taken from success_vectors / failure_vectors, A being the
-    success or failure Kraus operator of the separation. Arrays are (N, N),
-    coordinates on the unit rows; dimension is N or the Fock cutoff + 1.
+    """One alphabet's measurement chain as two read-only C-contiguous stacks
+    of N coordinates on the unit rows, one vector per row: states (2, N, N)
+    holds the inputs alpha_k and the failure states beta_k, measurement
+    (3, N, N) the minimum-error vectors u_k (elements |u_k><u_k|) and the
+    success and failure vectors A^dagger u_k, A the separation's success or
+    failure Kraus operator. dimension is N or the Fock cutoff + 1.
     """
 
-    basis: str
-    n_states: int
     dimension: int
-    alpha_states: np.ndarray
-    u_states: np.ndarray
-    beta_states: np.ndarray
-    success_vectors: np.ndarray
-    failure_vectors: np.ndarray
-    tail_mass: float
+    states: np.ndarray
+    measurement: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,14 +78,14 @@ class MedCertificate:
 def build_workspace(spec: EnsembleSpec,
                     basis: str = "phi",
                     tail_eps: float = TAIL_EPS) -> MatrixWorkspace:
-    """Assemble all states and measurement vectors and check completeness.
+    """Assemble the state and measurement stacks and check completeness.
 
     The basis chooses only the norms of the N rows, state k on row k mod N:
     'phi' the coefficients c (exact, fast), 'fock' the class norms of the
     Poisson ladder of basis_amplitudes, truncated as tail_eps sets. Every
     vector is stored as its N coordinates on the orthonormal unit rows: the
-    states scale the phases w^(kj) by the norms, and the measurement vectors
-    are _measurement's on the rows of nonzero norm, an exact POVM on their
+    states scale the phases w^(kj) by the norms, and the measurement is
+    _measurement's stack on the rows of nonzero norm, an exact POVM on their
     span, so the build is O(N^2) at any cutoff. CertificationFailure is
     raised if either completeness relation, checked on the N x N
     coordinates, misses the identity by more than 1e-10. Every element is
@@ -107,20 +100,15 @@ def build_workspace(spec: EnsembleSpec,
         raise DomainError(f"n_states {n} exceeds cap {VERIFY_N_CAP}")
     phases, a_f, root_failure, measurement = _measurement(spec)
     if basis == "phi":
-        norms, dimension, tail_mass = coefficients(spec).c, n, 0.0
+        norms, dimension = coefficients(spec).c, n
     else:
         amp = basis_amplitudes(spec, tail_eps)
         norms = np.sqrt(np.bincount(np.arange(amp.cutoff + 1) % n, amp.amps * amp.amps, n))
-        dimension, tail_mass = amp.cutoff + 1, amp.tail_mass
+        dimension = amp.cutoff + 1
     scales = np.array((norms, a_f * norms / root_failure))
-    alpha_states, beta_states = _frozen(phases * scales[:, None, :])
-    u_states, success_vectors, failure_vectors = _frozen(measurement * (norms > 0.0))
-    return MatrixWorkspace(
-        basis=basis, n_states=n, dimension=dimension,
-        alpha_states=alpha_states, u_states=u_states, beta_states=beta_states,
-        success_vectors=success_vectors, failure_vectors=failure_vectors,
-        tail_mass=tail_mass,
-    )
+    return MatrixWorkspace(dimension=dimension,
+                           states=_frozen(phases * scales[:, None, :]),
+                           measurement=_frozen(measurement * (norms > 0.0)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -172,8 +160,10 @@ def _check_completeness(coords: np.ndarray) -> None:
 
 
 def _traces(vectors: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """[k', k] = tr(|v_k'><v_k'| |psi_k><psi_k|) = |<v_k'|psi_k>|^2."""
-    return np.abs(vectors.conj() @ states.T) ** 2
+    """[k', k] = tr(|v_k'><v_k'| |psi_k><psi_k|) = |<v_k'|psi_k>|^2 over the
+    rows of two stacks, each flattened to one matrix of rows."""
+    d = states.shape[-1]
+    return np.abs(vectors.reshape(-1, d).conj() @ states.reshape(-1, d).T) ** 2
 
 
 def brute_force_joint(ws: MatrixWorkspace) -> tuple[np.ndarray, np.ndarray]:
@@ -185,30 +175,29 @@ def brute_force_joint(ws: MatrixWorkspace) -> tuple[np.ndarray, np.ndarray]:
     the failure block. No closed form is consulted and no structure is
     assumed: every one of the 2 N^2 entries is its own trace.
     """
-    return (_frozen(_traces(ws.success_vectors, ws.alpha_states)),
-            _frozen(_traces(ws.failure_vectors, ws.alpha_states)))
+    n = ws.states.shape[1]
+    return tuple(_frozen(_traces(ws.measurement[1:], ws.states[0]).reshape(2, n, n)))
 
 
 def brute_force_probabilities(ws: MatrixWorkspace) -> DiscriminationReport:
     """Re-derive every report field from explicit vectors.
 
     One trace matrix holds every overlap the report reads: rows are the
-    success, failure and minimum-error vectors, columns the input and
-    failure states, and each field is read from one N x N block of it.
-    Where the success branch carries a trace mass of exactly 0 (c_min^2
-    underflows to 0), confidence_success takes the closed form's limit 1.
+    measurement (u, success, failure), columns the states (inputs, failure
+    states), and each field is read from one N x N block of it. Where the
+    success branch carries a trace mass of exactly 0 (c_min^2 underflows to
+    0), confidence_success takes the closed form's limit 1.
     """
-    n = ws.n_states
-    traces = _traces(np.concatenate((ws.success_vectors, ws.failure_vectors, ws.u_states)),
-                     np.concatenate((ws.alpha_states, ws.beta_states)))
-    # Row block r (success, failure, u) against column block c (alpha, beta):
+    n = ws.states.shape[1]
+    traces = _traces(ws.measurement, ws.states)
+    # Row block r (u, success, failure) against column block c (alpha, beta):
     # diagonals[r, c] sums the k' = k entries of the block. The success and
     # failure blocks on the inputs are also summed whole. Contiguous copies
     # keep numpy's pairwise summation.
     diagonals = np.diagonal(traces.reshape(3, n, 2, n), axis1=1, axis2=3).copy().sum(axis=2)
-    (success, _), (failure, _), (med, med_beta) = diagonals.tolist()
-    success_total, failure_total = traces[:2 * n, :n].reshape(2, n * n).sum(axis=1).tolist()
-    fidelity = float(np.abs(ws.alpha_states[0].conj() @ ws.beta_states[0]) ** 2)
+    (med, med_beta), (success, _), (failure, _) = diagonals.tolist()
+    success_total, failure_total = traces[n:, :n].reshape(2, n * n).sum(axis=1).tolist()
+    fidelity = float(np.abs(ws.states[0, 0].conj() @ ws.states[1, 0]) ** 2)
     p_c_med = med / n
     return DiscriminationReport(
         p_s=success_total / n,
@@ -305,6 +294,6 @@ def certify_med_optimality(ws: MatrixWorkspace) -> tuple[MedCertificate, MedCert
     when Gamma is Hermitian within HERMITICITY_TOL and no Gamma -
     |psi_k><psi_k|/N has an eigenvalue below -EIGENVALUE_TOL.
     """
-    defects, lows = _certify(ws.u_states, np.array((ws.alpha_states, ws.beta_states)))
+    defects, lows = _certify(ws.measurement[0], ws.states)
     return (_certificate("inputs", defects[0], lows[0]),
             _certificate("failure_states", defects[1], lows[1]))

@@ -207,6 +207,19 @@ def test_io_error_names_the_output_path(capsys, tmp_path, monkeypatch, command, 
     assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
 
 
+def test_closed_stdout_exits_141_quietly():
+    # A reader that stops early (`cvdisc mc ... | head -1`) closes the pipe
+    # mid-table: the exit code is 128 + SIGPIPE, as a shell reports, and
+    # stderr stays empty.
+    argv = ("mc", "--n", "64", "--alpha2", "3", "--shots", "1000", "--seed", "1")
+    with subprocess.Popen([sys.executable, "-m", "cvdisc", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().split()[:3] == [b"prep", b"outcome", b"branch"]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (141, b"")
+
+
 def test_sweep_onto_a_directory_leaves_no_temp_file(capsys, tmp_path):
     target = tmp_path / "taken"
     target.mkdir()

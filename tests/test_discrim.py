@@ -275,7 +275,8 @@ def test_joint_blocks_are_the_indexed_forms(n, alpha_sq):
     # columns() lays out the same values per preparation, in any row range.
     dense = np.stack([jd.success.T, jd.failure.T], axis=-1)
     assert jd.columns().tobytes() == dense.tobytes()
-    for start, stop in ((0, 1), (n // 3, n // 2 + 1), (n - 1, n + 5)):
+    for start, stop in ((0, 1), (n // 3, n // 2 + 1), (n - 1, n + 5), (-1, None),
+                        (-n - 3, 2), (n + 2, n + 5), (3, 1)):
         assert jd.columns(start, stop).tobytes() == dense[start:stop].tobytes()
 
 
@@ -312,7 +313,8 @@ def test_joint_vacuum_raises():
 def overlaps(spec):
     """[j, k] = <alpha_j|beta_k> from the oracle's explicit states."""
     ws = build_workspace(spec)
-    return ws.alpha_states.conj() @ ws.beta_states.T
+    alpha, beta = ws.states
+    return alpha.conj() @ beta.T
 
 
 def test_overlap_diagonal_is_root_fidelity():

@@ -42,25 +42,22 @@ def max_field_gap(a, b):
 
 def test_workspace_phi_basic():
     ws = build_workspace(EnsembleSpec(3, 1.0))
-    assert ws.basis == "phi"
     assert ws.dimension == 3
-    assert ws.tail_mass == 0.0
-    norms = np.linalg.norm(ws.alpha_states, axis=1)
-    np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(np.linalg.norm(ws.beta_states, axis=1), 1.0,
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(ws.states, axis=2), 1.0, rtol=0, atol=1e-12)
 
 
 def test_workspace_states_reproduce_gram():
     ws = build_workspace(EnsembleSpec(4, 1.3), basis="fock", tail_eps=1e-14)
-    g = ws.alpha_states.conj() @ ws.alpha_states.T
+    alpha = ws.states[0]
+    g = alpha.conj() @ alpha.T
     np.testing.assert_allclose(g, gram(EnsembleSpec(4, 1.3)),
                                rtol=0, atol=1e-10)
 
 
 def test_workspace_two_states_share_failure_direction():
     ws = build_workspace(EnsembleSpec(2, 0.5))
-    inner = abs(ws.beta_states[0].conj() @ ws.beta_states[1])
+    beta = ws.states[1]
+    inner = abs(beta[0].conj() @ beta[1])
     assert inner == pytest.approx(1.0, abs=1e-12)
 
 
@@ -184,16 +181,17 @@ def certify_one_family(vectors, states, which):
 def test_certificate_pair_matches_single_family_certificates():
     ws = build_workspace(EnsembleSpec(5, 1.5), basis="fock")
     inputs, failure_states = certify_med_optimality(ws)
-    assert inputs == certify_one_family(ws.u_states, ws.alpha_states, "inputs")
-    assert failure_states == certify_one_family(ws.u_states, ws.beta_states, "failure_states")
+    u, (alpha, beta) = ws.measurement[0], ws.states
+    assert inputs == certify_one_family(u, alpha, "inputs")
+    assert failure_states == certify_one_family(u, beta, "failure_states")
 
 
 def test_certificate_rejects_swapped_projectors():
     # A deliberately wrong measurement must fail the optimality conditions,
     # on the input states and on the failure states alike.
     ws = build_workspace(EnsembleSpec(3, 1.0))
-    swapped = ws.u_states[[1, 0, 2]]
-    for states in (ws.alpha_states, ws.beta_states):
+    swapped = ws.measurement[0][[1, 0, 2]]
+    for states in ws.states:
         cert = certify_one_family(swapped, states, "swapped")
         assert not cert.passed
         assert cert.worst_eigenvalue < -1e-3
@@ -246,23 +244,23 @@ def test_fock_workspace_memory_is_bounded():
 
 @pytest.mark.parametrize("n, alpha_sq", [(4, 2.0), (16, 0.5), (103, 0.03), (64, 1000.0)])
 def test_phi_and_fock_workspaces_share_the_measurement(n, alpha_sq):
-    # Both bases hold N coordinates per vector, and their measurement vectors
-    # agree on every row of nonzero norm in both; a row of norm 0 spans
-    # nothing in either.
+    # Both bases hold two read-only C-contiguous complex stacks of N
+    # coordinates per vector, states (alpha, beta) and measurement (u,
+    # success, failure), and their measurement stacks agree on every row of
+    # nonzero norm in both; a row of norm 0 spans nothing in either.
     spec = EnsembleSpec(n, alpha_sq)
     phi, fock = build_workspace(spec, "phi"), build_workspace(spec, "fock")
     assert (phi.dimension, fock.dimension) == (n, basis_amplitudes(spec, 1e-12).cutoff + 1)
-    names = ("alpha_states", "beta_states", "u_states", "success_vectors", "failure_vectors")
     live = []
     for ws in (phi, fock):
-        assert {getattr(ws, name).shape for name in names} == {(n, n)}
-        live.append(ws.alpha_states[0] != 0.0)      # alpha_0 holds the row norms
-        for name in names[2:]:
-            assert not np.any(getattr(ws, name)[:, ~live[-1]])
+        for stack, shape in ((ws.states, (2, n, n)), (ws.measurement, (3, n, n))):
+            assert stack.shape == shape and stack.dtype == np.complex128
+            assert stack.flags.c_contiguous and not stack.flags.writeable
+        live.append(ws.states[0, 0] != 0.0)      # alpha_0 holds the row norms
+        assert not np.any(ws.measurement[:, :, ~live[-1]])
     both = live[0] & live[1]
     assert both.any()
-    for name in names[2:]:
-        np.testing.assert_array_equal(getattr(phi, name)[:, both], getattr(fock, name)[:, both])
+    np.testing.assert_array_equal(phi.measurement[:, :, both], fock.measurement[:, :, both])
 
 
 # --- separation Kraus diagonals ------------------------------------------------
@@ -330,7 +328,7 @@ def test_failure_povm_eigenvalues():
     spec = EnsembleSpec(4, 1.5)
     ws = build_workspace(spec)
     _, a_f = oracle._kraus_diagonals(coefficients(spec))
-    f = ws.failure_vectors
+    f = ws.measurement[2]
     total_failure = f.T @ f.conj()
     eigs = np.sort(np.linalg.eigvalsh(total_failure))
     np.testing.assert_allclose(eigs, np.sort(a_f ** 2),
@@ -340,7 +338,7 @@ def test_failure_povm_eigenvalues():
 def test_povm_completeness():
     # Every c_j > 0 at (5, 0.8), so the phi rows span the whole space.
     ws = build_workspace(EnsembleSpec(5, 0.8))
-    s, f, u = ws.success_vectors, ws.failure_vectors, ws.u_states
+    u, s, f = ws.measurement
     total = s.T @ s.conj() + f.T @ f.conj()
     np.testing.assert_allclose(total, np.eye(5), rtol=0, atol=1e-10)
     med_total = u.T @ u.conj()
@@ -350,7 +348,7 @@ def test_povm_completeness():
 def test_workspace_arrays_immutable():
     ws = build_workspace(EnsembleSpec(3, 1.0))
     with pytest.raises(ValueError):
-        ws.u_states[0, 0] = 1.0
+        ws.measurement[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("basis, n, alpha_sq, stretch", [
