@@ -27,6 +27,7 @@ import contextlib
 import functools
 import math
 import os
+import stat
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -36,13 +37,7 @@ import numpy as np
 from . import analytic3, discrim, infotheory, montecarlo, oracle
 from .ensemble import (GRID_BLOCK, TAIL_EPS, CoefficientProfile, EnsembleSpec, coefficient_grid,
                        coefficients)
-from .errors import (
-    CertificationFailure,
-    CutoffOverflow,
-    DegenerateEnsemble,
-    DomainError,
-    FullSeparation,
-)
+from .errors import CertificationFailure, CvdiscError, DomainError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -85,22 +80,38 @@ def _print_fields(values: dict, names: Iterable[str], width: int) -> None:
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
-    # Write to a sibling temp file and rename so no partial file can remain;
-    # chunks may be computed lazily, and a failure while computing one also
-    # leaves no file. An OSError names path, never the temp file.
-    directory = os.path.dirname(os.path.abspath(path))
+    # Write what path names, as a shell's > would. A regular file, or a new
+    # one, is written to a temp file beside it (beside its target, for a
+    # symlink) and renamed over it with the old file's mode (a new file's is
+    # 0o666 less the umask), so no partial file can remain; chunks may be
+    # computed lazily, and a failure while computing one also leaves no
+    # file. Anything else (a FIFO, a device) is written in place. An OSError
+    # names path, never the temp file.
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cvdisc-", suffix=".tmp")
         try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = stat.S_IFREG | (0o666 & ~umask)
+        if not stat.S_ISREG(mode):
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.writelines(chunks)
+            return
+        target = os.path.realpath(path) if os.path.islink(path) else path
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)),
+                                   prefix=".cvdisc-", suffix=".tmp")
+        try:
+            os.fchmod(fd, stat.S_IMODE(mode))
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
                 handle.writelines(chunks)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from exc
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
 
 
 def _values(profile: CoefficientProfile) -> dict:
@@ -345,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     except CertificationFailure as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except (DomainError, DegenerateEnsemble, CutoffOverflow, FullSeparation) as exc:
+    except CvdiscError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -46,15 +46,15 @@ MAX_N_STATES = 2 ** 22
 GRID_BLOCK = 2 ** 16
 
 
-def _real(value) -> float:
-    """float(value) for a real number, else DomainError."""
+def _real(value, name: str) -> float:
+    """float(value) for a real number, else DomainError naming the value."""
     # float() would take these, numpy complex scalars as their real part.
     if not isinstance(value, (bool, np.bool_, str, bytes, np.complexfloating)):
         try:
             return float(value)
         except (TypeError, ValueError):
             pass
-    raise DomainError(f"alpha_sq must be a real number, got {value!r}")
+    raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -83,7 +83,7 @@ class EnsembleSpec:
             raise DomainError(f"n_states must be >= 2, got {self.n_states}")
         if self.n_states > MAX_N_STATES:
             raise DomainError(f"n_states must be <= {MAX_N_STATES}, got {self.n_states}")
-        a2 = _real(self.alpha_sq)
+        a2 = _real(self.alpha_sq, "alpha_sq")
         if not math.isfinite(a2) or a2 < 0.0:
             raise DomainError(f"alpha_sq must be finite and >= 0, got {a2}")
         if a2 > MAX_ALPHA_SQ:
@@ -112,15 +112,13 @@ class EnsembleSpec:
         multiplicity = int(degenerate_mask.sum())
         p_s = min(1.0, n * c_min ** 2)
         full_separation = 1.0 - p_s < FULL_SEPARATION_EPS or multiplicity == n
-        if full_separation:
-            b = spectrum = _frozen(np.full(n, math.nan))
-        else:
-            # Clamp before the square root: rounding can land c_j^2 - p_s/N
-            # near -1e-17 on entries that are analytically zero.
-            raw = (c_sq - p_s / n) / (1.0 - p_s)
-            raw[degenerate_mask] = 0.0
-            b = _frozen(np.sqrt(np.maximum(raw, 0.0)))
-            spectrum = _frozen(_failure_spectrum(b))
+        raw = c_sq - p_s / n
+        raw[degenerate_mask] = 0.0
+        # Dividing by NaN makes b, and so the spectrum, NaN on an empty branch.
+        raw /= math.nan if full_separation else 1.0 - p_s
+        # Clamp before the square root: rounding can land c_j^2 - p_s/N
+        # near -1e-17 on entries that are analytically zero.
+        b = _frozen(np.sqrt(np.maximum(raw, 0.0)))
 
         return CoefficientProfile(
             alpha_sq=a2,
@@ -131,7 +129,7 @@ class EnsembleSpec:
             degenerate_mask=_frozen(degenerate_mask),
             p_s=p_s,
             b=b,
-            spectrum=spectrum,
+            spectrum=_frozen(_failure_spectrum(b)),
             full_separation=full_separation,
         )
 
@@ -249,7 +247,7 @@ def coefficient_grid(n: int, alpha_sq) -> Iterator[CoefficientProfile]:
     n = EnsembleSpec(n, 0.0).n_states     # checks N as every point would
     cells = alpha_sq if isinstance(alpha_sq, np.ndarray) else np.array(alpha_sq, dtype=object)
     if cells.dtype.kind in "bcOSU":
-        cells = np.array([_real(v) for v in cells.ravel().tolist()]).reshape(cells.shape)
+        cells = np.reshape([_real(v, "alpha_sq") for v in cells.ravel().tolist()], cells.shape)
     a2 = np.asarray(cells, dtype=float) + 0.0     # -0.0 + 0.0 is 0.0, as in EnsembleSpec
     if a2.ndim != 1:
         raise DomainError(f"alpha_sq must be a 1-D array, got shape {a2.shape}")
@@ -361,64 +359,47 @@ def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:
     Nothing is read from the coefficients.
 
     The cutoff is the smallest n_max >= N-1 whose Poisson tail mass
-    P(X > n_max) is below tail_eps, which must lie in (0, 1e-6], capped at
+    P(X > n_max) is below tail_eps, a real number in (0, 1e-6], capped at
     FOCK_CAP; CutoffOverflow is raised when no cutoff up to it suffices. The
     weights p_k, k = 0..top, are running products outward from the mode
     floor(alpha^2) in np.longdouble, normalised by their sum, as
     coefficients() folds them; the tails are their suffix sums, taken
-    smallest term first. The ladder runs _half(0, mode) terms past the
-    cutoff, where the terms it drops add less than 2^-64 of the tail at the
-    cutoff. It is built in one pass for tail targets down to ~1e-30, and in
-    at most two below that, the second to FOCK_CAP (see _poisson_ladder).
+    smallest term first.
+
+    The ladder runs a margin past the cutoff: the fold's reach past the
+    mode, _half(0, mode). Past a cutoff m, whose tail is below 1e-6, the
+    weights fall by alpha^2/(k + 1) per step, and the weight beyond m +
+    margin is under 1e-56 of P(X > m) (checked with mpmath for alpha^2 from
+    1e-4 to 4096), far below 2^-64. Tails summed over a ladder that ends at
+    top miss only the weight past top, so they may read low, never high: a
+    candidate whose tail reads at least tail_eps truly has one. A first hit
+    is kept once the ladder runs the margin past it. The ladder is built at
+    most twice: first to a top that holds the cutoff of every tail target
+    down to ~1e-30, then, only when that top has no hit with the margin past
+    it, to FOCK_CAP + margin, which holds every cutoff the cap allows.
 
     Where np.longdouble is wider than a double, each p_k is good to a few
     long-double ulp and each amplitude to about one double ulp. Where it is a
     plain double, the running products lose about |k - mode| ulp of p_k,
     which is no worse than evaluating alpha^k / sqrt(k!) in log space.
     """
+    tail_eps = _real(tail_eps, "tail_eps")
     if not (0.0 < tail_eps <= 1e-6):
         raise DomainError(f"tail_eps must be in (0, 1e-6], got {tail_eps}")
     n = spec.n_states
     a2 = spec.alpha_sq
-    ladder = _poisson_ladder(a2, n, tail_eps)
-    if ladder is None:
-        raise CutoffOverflow(f"no cutoff <= {FOCK_CAP} reaches tail mass {tail_eps} "
-                             f"at alpha_sq={a2}")
-    n_max, p, tail_mass = ladder
-    return BasisAmplitudes(cutoff=n_max, amps=_frozen(np.sqrt(p[:n_max + 1]).astype(float)),
-                           tail_mass=tail_mass)
-
-
-def _poisson_ladder(a2: float, n: int, tail_eps: float) -> tuple[int, np.ndarray, float] | None:
-    """(n_max, p, tail) for basis_amplitudes: the cutoff, the normalised
-    np.longdouble Poisson weights p_k for k = 0..top with top >= n_max +
-    margin, and the tail P(X > n_max) as a double; None when no cutoff <=
-    FOCK_CAP reaches tail_eps.
-
-    The margin is the fold's reach past the mode, _half(0, mode). Past a
-    cutoff m, whose tail is below 1e-6, the weights fall by a2/(k + 1) per
-    step, and the weight beyond m + margin is under 1e-56 of P(X > m)
-    (checked with mpmath for alpha^2 from 1e-4 to 4096), far below 2^-64.
-
-    Tails summed over a ladder that ends at top miss only the weight past
-    top, so they may read low, never high: a candidate whose tail reads at
-    least tail_eps truly has one. A first hit is kept once the ladder runs
-    the margin past it. The ladder is built at most twice: first to a top
-    that holds the cutoff of every tail target down to ~1e-30, then, only
-    when that top has no hit with the margin past it, to FOCK_CAP + margin,
-    which holds every cutoff the cap allows.
-    """
     mode = math.floor(a2)
-    if mode >= FOCK_CAP or n - 1 > FOCK_CAP:
-        return None    # P(X > FOCK_CAP) is then about 1/2 or more, or no cutoff fits
     margin = _half(0, mode)
-    for top in (max(n - 1, mode + margin) + margin, FOCK_CAP + margin):
-        weights = _running_products(np.array([a2], np.longdouble), mode, 0, top + 1)
-        p = weights / weights.sum()
-        tails = np.add.accumulate(p[:0:-1])[::-1].astype(float)   # tails[m] = P(m < X <= top)
-        hits = (tails[n - 1:FOCK_CAP + 1] < tail_eps).nonzero()[0]
-        if hits.size:
-            n_max = n - 1 + int(hits[0])
-            if top >= n_max + margin:
-                return n_max, p, float(tails[n_max])
-    return None
+    # From mode FOCK_CAP up P(X > FOCK_CAP) is about 1/2 or more, and with
+    # N - 1 > FOCK_CAP no cutoff fits.
+    if mode < FOCK_CAP and n - 1 <= FOCK_CAP:
+        for top in (max(n - 1, mode + margin) + margin, FOCK_CAP + margin):
+            weights = _running_products(np.array([a2], np.longdouble), mode, 0, top + 1)
+            p = weights / weights.sum()
+            tails = np.add.accumulate(p[:0:-1])[::-1].astype(float)   # tails[m] = P(m < X <= top)
+            hits = (tails[n - 1:FOCK_CAP + 1] < tail_eps).nonzero()[0] + (n - 1)   # cutoffs
+            if hits.size and top >= hits[0] + margin:
+                n_max = int(hits[0])
+                amps = _frozen(np.sqrt(p[:n_max + 1]).astype(float))
+                return BasisAmplitudes(cutoff=n_max, amps=amps, tail_mass=float(tails[n_max]))
+    raise CutoffOverflow(f"no cutoff <= {FOCK_CAP} reaches tail mass {tail_eps} at alpha_sq={a2}")

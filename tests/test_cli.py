@@ -5,6 +5,7 @@ import dataclasses
 import errno
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -205,6 +206,46 @@ def test_io_error_names_the_output_path(capsys, tmp_path, monkeypatch, command, 
     exit_code, _, err = run(capsys, *OUT_ARGVS[command], "--out", out)
     assert (exit_code, err) == (3, f"i/o error: [Errno {code}] {os.strerror(code)}: '{out}'\n")
     assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
+
+
+@pytest.mark.parametrize("command", sorted(OUT_ARGVS))
+def test_out_writes_what_the_path_names(capsys, tmp_path, monkeypatch, command):
+    # As a shell's > would: a new file gets 0o666 less the umask, a file
+    # keeps its mode, a symlink keeps naming its target, and a FIFO stays a
+    # FIFO whose reader gets the bytes. The read end is opened non-blocking
+    # first, so a writer that replaced the FIFO fails here, not hangs.
+    monkeypatch.chdir(tmp_path)
+    argv = OUT_ARGVS[command]
+    mask = os.umask(0o022)
+    try:
+        assert run(capsys, *argv, "--out", "new.csv")[0] == 0
+        expected = (tmp_path / "new.csv").read_bytes()
+        assert stat.S_IMODE(os.stat("new.csv").st_mode) == 0o644
+        (tmp_path / "kept.csv").write_text("old\n")
+        os.chmod("kept.csv", 0o640)
+        assert run(capsys, *argv, "--out", "kept.csv")[0] == 0
+        assert stat.S_IMODE(os.stat("kept.csv").st_mode) == 0o640
+        assert (tmp_path / "kept.csv").read_bytes() == expected
+        os.symlink("kept.csv", "link")
+        (tmp_path / "kept.csv").write_text("old\n")
+        assert run(capsys, *argv, "--out", "link")[0] == 0
+        assert os.readlink("link") == "kept.csv"
+        assert (tmp_path / "kept.csv").read_bytes() == expected
+        os.mkfifo("fifo")
+        reader = os.open("fifo", os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run(capsys, *argv, "--out", "fifo")[0] == 0
+            assert stat.S_ISFIFO(os.stat("fifo").st_mode)
+            assert os.read(reader, 1 << 16) == expected
+        finally:
+            os.close(reader)
+        # A path that a shell's > refuses creates nothing.
+        code, _, err = run(capsys, *argv, "--out", "missing/")
+        assert (code, err) == (3, f"i/o error: [Errno {errno.ENOTDIR}] "
+                                  f"{os.strerror(errno.ENOTDIR)}: 'missing/'\n")
+    finally:
+        os.umask(mask)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "kept.csv", "link", "new.csv"]
 
 
 def test_closed_stdout_exits_141_quietly():

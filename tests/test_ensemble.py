@@ -176,6 +176,13 @@ def test_profile_arrays_are_immutable():
     profile = coefficients(EnsembleSpec(3, 1.0))
     with pytest.raises(ValueError):
         profile.c_sq[0] = 0.5
+    # An empty failure branch: b and its spectrum are read-only NaN too.
+    profile = coefficients(EnsembleSpec(3, 45.0))
+    assert profile.full_separation
+    for field in (profile.b, profile.spectrum):
+        assert np.isnan(field).all()
+        with pytest.raises(ValueError):
+            field[0] = 0.5
 
 
 # --- one evaluation per spec -------------------------------------------------
@@ -335,7 +342,7 @@ def test_tail_mass_matches_poisson_tail():
     assert float(special.gammainc(amp.cutoff, 2.5)) > 1e-10
 
 
-@pytest.mark.parametrize("tail_eps", [0.0, -1e-9, 1e-5, 1.0])
+@pytest.mark.parametrize("tail_eps", [0.0, -1e-9, 1e-5, 1.0, "1e-9", 1e-9+0j, None])
 def test_tail_eps_validation(tail_eps):
     with pytest.raises(DomainError):
         basis_amplitudes(EnsembleSpec(3, 1.0), tail_eps)

@@ -310,15 +310,23 @@ FAILURE_PROFILE_FIELDS = {"b", "spectrum"}
 
 def references(path, function, names):
     """(line, name) of every name in names that the body of the module's
-    top-level function references, as a variable or as an attribute."""
+    top-level function references, as a variable or as an attribute, or
+    that the body of a top-level private function of the module it calls
+    does, transitively."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = []
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name == function:
-            for sub in ast.walk(node):
-                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
-                if name in names:
-                    found.append((sub.lineno, name))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found, todo, seen = [], [function], set()
+    while todo:
+        node = functions.get(todo.pop())
+        if node is None or node.name in seen:
+            continue
+        seen.add(node.name)
+        for sub in ast.walk(node):
+            name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+            if name in names:
+                found.append((sub.lineno, name))
+            if isinstance(sub, ast.Call) and getattr(sub.func, "id", "").startswith("_"):
+                todo.append(sub.func.id)
     return sorted(found)
 
 
@@ -334,14 +342,21 @@ def test_workspace_reads_no_failure_profile():
 
 def test_detects_kernel_reads_in_the_fock_rows_and_the_workspace(tmp_path):
     module = tmp_path / "sample.py"
+    # Reads hidden in private helpers count, through any depth of calls.
     module.write_text("def basis_amplitudes(spec, tail_eps):\n"
                       "    c = coefficients(spec).c\n"
-                      "    return ensemble._fold(spec.alpha_sq, 3, 0) / c\n"
+                      "    return ensemble._fold(spec.alpha_sq, 3, 0) / c + _ladder(spec)\n"
+                      "def _ladder(spec):\n"
+                      "    return _ladder(spec) if spec else _steps(spec.alpha_sq)\n"
+                      "def _steps(a2):\n"
+                      "    return _fold(a2, 3, 0)\n"
                       "def build_workspace(spec):\n"
                       "    profile = coefficients(spec)\n"
-                      "    return profile.b, profile.spectrum\n"
+                      "    return profile.b, profile.spectrum, _measurement(spec)\n"
+                      "def _measurement(spec):\n"
+                      "    return coefficients(spec).b\n"
                       "def gram(spec):\n    return coefficients(spec).b\n")
     assert references(module, "basis_amplitudes", KERNEL_ROUTINES) == [
-        (2, "coefficients"), (3, "_fold")]
+        (2, "coefficients"), (3, "_fold"), (7, "_fold")]
     assert references(module, "build_workspace", FAILURE_PROFILE_FIELDS) == [
-        (6, "b"), (6, "spectrum")]
+        (10, "b"), (10, "spectrum"), (12, "b")]
