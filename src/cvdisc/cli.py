@@ -27,6 +27,7 @@ import contextlib
 import functools
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -204,14 +205,13 @@ def _mc_table(result: montecarlo.MCResult) -> tuple[float, bool]:
         # prior over preparations times the conditional joint.
         prob = joint.columns(start, start + len(count)) / n
         emp = count / shots
-        sigma = np.sqrt(prob * (1.0 - prob) / shots)
+        expected = prob * shots
         with np.errstate(divide="ignore", invalid="ignore"):
-            # sigma underflows at a subnormal prob (prob <= 1/N < 1); prob * shots does not.
-            count_z = (count - prob * shots) / np.sqrt(prob * shots * (1.0 - prob))
-            z = np.where(sigma > 0.0, (emp - prob) / sigma,
-                         np.where(prob > 0.0, count_z, np.where(emp == prob, 0.0, math.inf)))
+            # A cell of probability 0 divides by 0: inf for a count, NaN for none.
+            z = (count - expected) / np.sqrt(expected * (1.0 - prob))
+        z[np.isnan(z)] = 0.0
         worst_z = max(worst_z, float(np.abs(z).max()))
-        flagged = flagged or _beyond_6_sigma(count, prob * shots, z)
+        flagged = flagged or _beyond_6_sigma(count, expected, z)
         columns = [*index, count.ravel().tolist(), emp.ravel().tolist(),
                    prob.ravel().tolist(), z.ravel().tolist()]
         sys.stdout.write("".join(_MC_ROW % row for row in zip(*columns)))
@@ -334,6 +334,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--tail-eps", type=float, default=TAIL_EPS)
     ver.set_defaults(run=cmd_verify)
 
+    # argparse takes -1e-3 for an option flag. No option looks like a
+    # negative number, so every one is a value and meets the domain check.
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

@@ -107,11 +107,8 @@ def _circulant(shift: np.ndarray) -> np.ndarray:
 
 def _med(x: np.ndarray) -> np.ndarray:
     """(1/N)(sum_j x_j)^2 over the last axis: the minimum-error correct
-    probability of the symmetric states with coefficient vector x.
-
-    float_power is libm pow, as Python's float ** 2; numpy's x**2 is x*x.
-    """
-    return np.float_power(x.sum(axis=-1), 2.0) / x.shape[-1]
+    probability of the symmetric states with coefficient vector x."""
+    return np.square(x.sum(axis=-1)) / x.shape[-1]
 
 
 def failure_profile(profile: CoefficientProfile) -> CoefficientProfile:
@@ -156,7 +153,7 @@ def ir_columns(profile: CoefficientProfile) -> DiscriminationReport:
     c, b, p_s = profile.c, profile.b, profile.p_s
     p_c_med = _med(c)
     p_c_med_beta = _med(b)
-    fidelity = np.float_power(np.matmul(c[..., None, :], b[..., :, None])[..., 0, 0], 2.0)
+    fidelity = np.square(np.matmul(c[..., None, :], b[..., :, None])[..., 0, 0])
     return profile.view(
         DiscriminationReport,
         p_s=p_s,

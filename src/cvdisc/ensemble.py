@@ -110,15 +110,12 @@ class EnsembleSpec:
         degenerate_mask = c_sq - c_min_sq <= band
         c_min = math.sqrt(c_min_sq)
         multiplicity = int(degenerate_mask.sum())
-        p_s = min(1.0, n * c_min ** 2)
+        # The square of the rounded c_min, not c_min_sq: the two differ in
+        # the last bit on many points, and the output keeps this form's.
+        p_s = min(1.0, n * (c_min * c_min))
         full_separation = 1.0 - p_s < FULL_SEPARATION_EPS or multiplicity == n
-        raw = c_sq - p_s / n
-        raw[degenerate_mask] = 0.0
-        # Dividing by NaN makes b, and so the spectrum, NaN on an empty branch.
-        raw /= math.nan if full_separation else 1.0 - p_s
-        # Clamp before the square root: rounding can land c_j^2 - p_s/N
-        # near -1e-17 on entries that are analytically zero.
-        b = _frozen(np.sqrt(np.maximum(raw, 0.0)))
+        b, spectrum = _failure_branch(c_sq, degenerate_mask, p_s / n,
+                                      math.nan if full_separation else 1.0 - p_s)
 
         return CoefficientProfile(
             alpha_sq=a2,
@@ -128,8 +125,8 @@ class EnsembleSpec:
             multiplicity=multiplicity,
             degenerate_mask=_frozen(degenerate_mask),
             p_s=p_s,
-            b=b,
-            spectrum=_frozen(_failure_spectrum(b)),
+            b=_frozen(b),
+            spectrum=_frozen(spectrum),
             full_separation=full_separation,
         )
 
@@ -155,7 +152,7 @@ class CoefficientProfile:
     b[j] = sqrt((c_j^2 - p_s/N) / (1 - p_s)), clamped at zero and exactly
     zero on entries degenerate with c_min. spectrum[k] = (1/N) |sum_l
     w^(-kl) b_l|^2 is the failure spectrum of b (one FFT, see
-    _failure_spectrum): the failure posterior is it normalised, and the
+    _failure_branch): the failure posterior is it normalised, and the
     failure block of the joint distribution is (1 - p_s) times it, shifted.
     failure_dim = N - multiplicity is the dimension spanned by the failure
     set.
@@ -311,8 +308,8 @@ def _classify(alpha_sq: np.ndarray, c_sq: np.ndarray) -> CoefficientProfile:
     """The classification of coefficients(), on every row of c_sq at once.
 
     coefficients() keeps its one-row form because numpy calls on one row
-    cost more than the Python scalars it uses; tests hold the two equal bit
-    for bit.
+    cost more than the Python scalars it uses; both form b and its spectrum
+    with _failure_branch, and tests hold the two equal bit for bit.
     """
     n = c_sq.shape[1]
     c_min_sq = c_sq.min(axis=1)
@@ -320,14 +317,10 @@ def _classify(alpha_sq: np.ndarray, c_sq: np.ndarray) -> CoefficientProfile:
     degenerate_mask = c_sq - c_min_sq[:, None] <= band
     multiplicity = degenerate_mask.sum(axis=1)
     c_min = np.sqrt(c_min_sq)
-    # float_power is libm pow, as Python's float ** 2; numpy's x**2 is x*x.
-    p_s = np.minimum(1.0, n * np.float_power(c_min, 2.0))
+    p_s = np.minimum(1.0, n * (c_min * c_min))
     empty = (1.0 - p_s < FULL_SEPARATION_EPS) | (multiplicity == n)
-    raw = c_sq - (p_s / n)[:, None]
-    raw[degenerate_mask] = 0.0
-    # Dividing by NaN makes b, and so the spectrum, NaN on empty rows.
-    raw /= np.where(empty, np.nan, 1.0 - p_s)[:, None]
-    b = np.sqrt(np.maximum(raw, 0.0))
+    b, spectrum = _failure_branch(c_sq, degenerate_mask, (p_s / n)[:, None],
+                                  np.where(empty, np.nan, 1.0 - p_s)[:, None])
     return CoefficientProfile(
         alpha_sq=alpha_sq,
         c_sq=c_sq,
@@ -337,19 +330,31 @@ def _classify(alpha_sq: np.ndarray, c_sq: np.ndarray) -> CoefficientProfile:
         degenerate_mask=degenerate_mask,
         p_s=p_s,
         b=b,
-        spectrum=_failure_spectrum(b),
+        spectrum=spectrum,
         full_separation=empty,
     )
 
 
-def _failure_spectrum(b: np.ndarray) -> np.ndarray:
-    """(1/N) * |sum_l w^(-kl) b_l|^2 for k = 0..N-1, one FFT of b along
-    its last axis.
+def _failure_branch(c_sq: np.ndarray, degenerate_mask: np.ndarray,
+                    share, divisor) -> tuple[np.ndarray, np.ndarray]:
+    """The failure profile b and its spectrum for coefficients c_sq (..., N):
+    b_j = sqrt((c_j^2 - share) / divisor), zero on the degenerate entries,
+    and spectrum[k] = (1/N) |sum_l w^(-kl) b_l|^2, one FFT of b along its
+    last axis. One point passes share = p_s/N and divisor = 1 - p_s as
+    floats, a grid block passes them as (rows, 1) columns; a NaN divisor
+    marks an empty branch and makes b, and so the spectrum, NaN.
 
-    Equal to the double sum (1/N) * sum_{l,m} w^(-k(l-m)) b_l b_m, and, since
-    b is real, symmetric under k -> -k. Nonnegative by construction.
+    The spectrum equals the double sum (1/N) * sum_{l,m} w^(-k(l-m)) b_l b_m
+    and, since b is real, is symmetric under k -> -k. Nonnegative by
+    construction.
     """
-    return np.abs(np.fft.fft(b)) ** 2 / b.shape[-1]
+    raw = c_sq - share
+    raw[degenerate_mask] = 0.0
+    raw /= divisor
+    # Clamp before the square root: rounding can land c_j^2 - p_s/N
+    # near -1e-17 on entries that are analytically zero.
+    b = np.sqrt(np.maximum(raw, 0.0))
+    return b, np.square(np.abs(np.fft.fft(b))) / b.shape[-1]
 
 
 def basis_amplitudes(spec: EnsembleSpec, tail_eps: float) -> BasisAmplitudes:

@@ -254,23 +254,24 @@ def gram_probabilities(spec: EnsembleSpec) -> DiscriminationReport:
 def _certify(vectors: np.ndarray, families: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Helstrom conditions of one measurement on a stack of state families.
 
-    vectors (N, d) holds one measurement vector per outcome and families
-    (f, N, d) holds f families of N states. Returns, per family, the
-    Hermiticity defect max |Gamma - Gamma^dagger| and the lowest eigenvalue
-    of Gamma - |psi_k><psi_k|/N for every k, shape (f, N). The f*N matrices
-    are formed and diagonalised GRID_BLOCK // d^2 at a time (at least one),
-    so memory stays O(GRID_BLOCK + f d^2) for any N.
+    vectors (N, N) holds one measurement vector per outcome and families
+    (f, N, N) holds f families of N states, each on the N class coordinates
+    of the workspace. Returns, per family, the Hermiticity defect
+    max |Gamma - Gamma^dagger| and the lowest eigenvalue of
+    Gamma - |psi_k><psi_k|/N for every k, shape (f, N). The f*N matrices
+    are formed and diagonalised GRID_BLOCK // N^2 at a time (at least one),
+    so memory stays O(GRID_BLOCK + f N^2) for any N.
     """
-    f, n, d = families.shape
+    f, n, _ = families.shape
     overlaps = np.sum(vectors.conj() * families, axis=2)         # <v_k|psi_k>
     gamma = (vectors.T * overlaps[:, None, :]) @ families.conj() / n
     gamma_dagger = gamma.conj().transpose(0, 2, 1)
     defects = np.max(np.abs(gamma - gamma_dagger), axis=(1, 2))
     gamma_h = (gamma + gamma_dagger) / 2.0
-    states = families.reshape(f * n, d)
+    states = families.reshape(f * n, n)
     family = np.arange(f * n) // n
     lows = np.empty(f * n)
-    step = max(1, GRID_BLOCK // d ** 2)
+    step = max(1, GRID_BLOCK // (n * n))
     for start in range(0, f * n, step):
         psi = states[start:start + step]
         rhos = psi[:, :, None] * psi.conj()[:, None, :]

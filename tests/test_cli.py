@@ -474,16 +474,11 @@ def reference_mc_table(result):
         count = int(count)
         emp = count / shots
         prob = analytic[k, kp, br]
-        sigma = math.sqrt(prob * (1.0 - prob) / shots)
         lam = prob * shots
-        if sigma > 0.0:
-            z = (emp - prob) / sigma
-        elif prob > 0.0:
+        if prob > 0.0:
             z = (count - lam) / math.sqrt(lam * (1.0 - prob))
-        elif emp == prob:
-            z = 0.0
         else:
-            z = math.inf
+            z = math.inf if count else 0.0
         worst_z = max(worst_z, abs(z))
         flagged = flagged or beyond_6_sigma_reference(count, lam, z)
         lines.append(f"{k:4d} {kp:7d} {'sf'[br]:>6s} {count:10d} {emp:.6e} {prob:.6e} {z:8.3f}\n")
@@ -712,6 +707,33 @@ def test_verify_bad_list_exit_2(capsys):
 ])
 def test_usage_errors_exit_2(capsys, argv):
     assert run(capsys, *argv)[0] == 2
+
+
+_REPORT_USAGE = "usage: cvdisc report [-h] --n N --alpha2 ALPHA2\ncvdisc report: error: "
+
+
+@pytest.mark.parametrize("argv,err", [
+    # A negative number written with an exponent is a value, not an option,
+    # and reaches the library's domain check.
+    (("report", "--n", "3", "--alpha2", "-1e-3"),
+     "error: alpha_sq must be finite and >= 0, got -0.001\n"),
+    (("sweep", "--n", "3", "--alpha2-min", "-1e-3", "--alpha2-max", "1",
+      "--steps", "5", "--out", os.devnull),
+     "error: alpha_sq must be finite and >= 0, got -0.001\n"),
+    (("verify", "--n", "3", "--alpha2", "-1e-3,1"),
+     "error: alpha_sq must be finite and >= 0, got -0.001\n"),
+    (("verify", "--n", "3", "--alpha2", "1", "--tail-eps", "-1e-9"),
+     "error: tail_eps must be in (0, 1e-6], got -1e-09\n"),
+    (("mc", "--n", "3", "--alpha2", "-2E-1", "--shots", "10", "--seed", "1"),
+     "error: alpha_sq must be finite and >= 0, got -0.2\n"),
+    # A missing value is still reported as missing, and -inf stays an option.
+    (("report", "--alpha2", "--n", "4"), _REPORT_USAGE + "argument --alpha2: expected one argument\n"),
+    (("report", "--n", "3", "--alpha2", "-inf"),
+     _REPORT_USAGE + "argument --alpha2: expected one argument\n"),
+], ids=["report", "sweep", "verify", "tail-eps", "mc", "missing-value", "minus-inf"])
+def test_negative_exponent_values_reach_the_domain_check(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (2, "", err)
 
 
 # --- module entry point -------------------------------------------------------

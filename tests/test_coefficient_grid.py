@@ -118,13 +118,47 @@ def test_fold_window_holds_every_alpha_sq_of_its_mode(n):
 
 
 def test_grid_p_s_on_a_dense_draw():
-    # p_s = N * c_min^2 squares with libm pow, as the one-point path's
-    # float ** 2 does; x * x differs from it on ~0.1% of doubles, which only
-    # a few thousand points reliably reach.
     values = np.random.default_rng(21).uniform(0.0, 12.0, 3000)
     p_s = np.concatenate([block.p_s for block in coefficient_grid(5, values)])
     expect = [coefficients(EnsembleSpec(5, float(a2))).p_s for a2 in values]
     assert same_bits(p_s, expect)
+
+
+def squared_figures(profile, square):
+    """p_s, p_c_med and the fidelity of a point or a grid block, each
+    squaring its base with square."""
+    n = profile.n_states
+    dot = np.matmul(profile.c[..., None, :], profile.b[..., :, None])[..., 0, 0]
+    return {"p_s": np.minimum(1.0, n * square(profile.c_min)),
+            "p_c_med": square(profile.c.sum(axis=-1)) / n,
+            "fidelity": square(dot)}
+
+
+def test_squares_are_correctly_rounded_products():
+    # C pow, behind np.float_power and Python's float ** 2, lands one ulp
+    # off the correctly rounded x * x on about 0.08% of doubles. The seeded
+    # draw holds points where it does for each figure; there both routes
+    # must give the product.
+    rng = np.random.default_rng(5)
+    points = [(int(rng.integers(2, 65)), float(10 ** rng.uniform(-3, 2))) for _ in range(20000)]
+    moved_points = {"p_s": 0, "p_c_med": 0, "fidelity": 0}
+    for n in sorted({n for n, _ in points}):
+        values = [a2 for m, a2 in points if m == n]
+        start = 0
+        for block in coefficient_grid(n, values):
+            product = squared_figures(block, np.square)
+            libm = squared_figures(block, lambda x: np.float_power(x, 2.0))
+            grid = ir_columns(block)
+            for name in moved_points:
+                moved = np.flatnonzero(~np.isnan(product[name]) & (product[name] != libm[name]))
+                moved_points[name] += moved.size
+                assert same_bits(getattr(grid, name)[moved], product[name][moved]), (n, name)
+                for r in moved.tolist():
+                    spec = EnsembleSpec(n, values[start + r])
+                    point = squared_figures(coefficients(spec), np.square)[name]
+                    assert getattr(ir_report(spec), name) == point == product[name][r], (spec, name)
+            start += block.c_min.size
+    assert all(moved_points.values()), moved_points
 
 
 def test_grid_flags_at_the_vacuum_and_the_band_edge():

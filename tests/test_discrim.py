@@ -73,7 +73,7 @@ def test_helstrom_frozen_3_1():
 def test_ud_success_frozen_3_1():
     profile = coefficients(EnsembleSpec(3, 1.0))
     assert profile.p_s == pytest.approx(REPORT_3_1["p_s"], abs=1e-12)
-    assert profile.p_s == pytest.approx(3 * profile.c_min ** 2, abs=0)
+    assert profile.p_s == 3 * (profile.c_min * profile.c_min)
 
 
 def test_ud_success_vacuum_is_zero():

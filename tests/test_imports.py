@@ -304,7 +304,8 @@ def test_detects_a_kernel_name_in_the_gram_route(tmp_path):
 # the kernel's coefficient routines. The workspace forms the failure states
 # as the Kraus image of the inputs: build_workspace reads neither the
 # kernel's failure profile nor its spectrum.
-KERNEL_ROUTINES = {"coefficients", "coefficient_grid", "_fold", "_fold_runs", "_classify"}
+KERNEL_ROUTINES = {"coefficients", "coefficient_grid", "_fold", "_fold_runs", "_classify",
+                   "_failure_branch"}
 FAILURE_PROFILE_FIELDS = {"b", "spectrum"}
 
 
@@ -349,7 +350,7 @@ def test_detects_kernel_reads_in_the_fock_rows_and_the_workspace(tmp_path):
                       "def _ladder(spec):\n"
                       "    return _ladder(spec) if spec else _steps(spec.alpha_sq)\n"
                       "def _steps(a2):\n"
-                      "    return _fold(a2, 3, 0)\n"
+                      "    return _fold(a2, 3, 0) + _failure_branch(a2, a2, 0.0, 1.0)[0]\n"
                       "def build_workspace(spec):\n"
                       "    profile = coefficients(spec)\n"
                       "    return profile.b, profile.spectrum, _measurement(spec)\n"
@@ -357,6 +358,6 @@ def test_detects_kernel_reads_in_the_fock_rows_and_the_workspace(tmp_path):
                       "    return coefficients(spec).b\n"
                       "def gram(spec):\n    return coefficients(spec).b\n")
     assert references(module, "basis_amplitudes", KERNEL_ROUTINES) == [
-        (2, "coefficients"), (3, "_fold"), (7, "_fold")]
+        (2, "coefficients"), (3, "_fold"), (7, "_failure_branch"), (7, "_fold")]
     assert references(module, "build_workspace", FAILURE_PROFILE_FIELDS) == [
         (10, "b"), (10, "spectrum"), (12, "b")]
